@@ -19,7 +19,7 @@ from .groups import (
     verify_cocycle,
 )
 from .majid import BimoduleAction, MajidStructure, verify_bimodule, verify_majid_axioms
-from .pathcoalg import Element, TensorElement, comultiply, counit, iterated_comultiply
+from .pathcoalg import Element, TensorElement, comultiply, counit
 from .quiver import (
     AbstractQuiver,
     HopfQuiver,
@@ -55,7 +55,6 @@ __all__ = [
     "dihedral_group",
     "field_context",
     "hopf_quiver",
-    "iterated_comultiply",
     "paths_up_to",
     "recognize_hopf_quiver",
     "small_groups",

@@ -6,10 +6,10 @@ Comultiplication splits a path at every junction,
                          + sum_i  a_n ... a_(i+1) (x) a_i ... a_1
                          + t(a_n) (x) p ,
 
-so the first tensor leg always carries the *later* portion of the path.  The
-iterated comultiplication of a tensor power acts componentwise with
-interleaving and, by coassociativity, may be (and is) always applied to the
-rightmost leg.
+so the first tensor leg always carries the *later* portion of the path.  By
+coassociativity the iterated comultiplication Delta^(k-1)(p) is the sum of the
+splittings of p into k consecutive parts, latest part first, each with
+coefficient 1; `path_splits(quiver, p, k)` lists them.
 """
 
 from __future__ import annotations
@@ -216,16 +216,20 @@ class TensorElement:
 # the coalgebra structure maps
 
 
-def path_splits(quiver: HopfQuiver, p: Path) -> list[tuple[Path, Path]]:
-    """All splittings of Delta(p), as (later part, earlier part) pairs."""
+def path_splits(quiver: HopfQuiver, p: Path, k: int = 2) -> list[tuple[Path, ...]]:
+    """All splittings of p into k consecutive parts, latest part first: the
+    terms of Delta^(k-1)(p).  k = 2 gives the (later, earlier) pairs of Delta."""
     junctions = quiver.junctions(p)
-    n = len(p.arrows)
-    out = []
-    for i in range(n + 1):
-        earlier = Path(p.source, p.arrows[:i], junctions[i])
-        later = Path(junctions[i], p.arrows[i:], p.target)
-        out.append((later, earlier))
-    return out
+    arrows = p.arrows
+    # (parts cut off so far, number of earliest arrows not yet cut)
+    partial = [((), len(arrows))]
+    for _ in range(k - 1):
+        partial = [
+            (parts + (Path(junctions[i], arrows[i:end], junctions[end]),), i)
+            for parts, end in partial
+            for i in range(end + 1)
+        ]
+    return [parts + (Path(p.source, arrows[:end], junctions[end]),) for parts, end in partial]
 
 
 def comultiply(ctx: FieldContext, quiver: HopfQuiver, p: Path) -> TensorElement:
@@ -249,38 +253,3 @@ def counit(x: Element) -> Scalar:
         if p.is_vertex():
             total = total + c
     return total
-
-
-def iterated_comultiply(quiver: HopfQuiver, x: TensorElement, steps: int) -> TensorElement:
-    """Apply the tensor-coalgebra comultiplication of the arity-k base
-    coalgebra `steps` times, always expanding the rightmost k-leg block.
-
-    Starting from arity k the result has arity k * (steps + 1).
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    k = x.arity
-    ctx = x.ctx
-    cur = x
-    for _ in range(steps):
-        out: dict[tuple, Scalar] = {}
-        for tup, c in cur.terms.items():
-            prefix, block = tup[:-k], tup[-k:]
-            # componentwise Delta of the block, legs interleaved
-            combos: list[tuple[tuple[Path, ...], tuple[Path, ...]]] = [((), ())]
-            for p in block:
-                splits = path_splits(quiver, p)
-                combos = [
-                    (lefts + (l,), rights + (r,))
-                    for lefts, rights in combos
-                    for l, r in splits
-                ]
-            for lefts, rights in combos:
-                key = prefix + lefts + rights
-                out[key] = out[key] + c if key in out else c
-        cur = TensorElement(ctx, cur.arity + k, out)
-    return cur
-
-
-def graded_component(x: Element, degree: int) -> Element:
-    return x.graded_component(degree)

@@ -20,7 +20,6 @@ from hopfquiver import (
     cyclic_group,
     field_context,
     hopf_quiver,
-    iterated_comultiply,
     paths_up_to,
     recognize_hopf_quiver,
     small_groups,
@@ -33,7 +32,7 @@ from hopfquiver import (
     verify_majid_axioms,
 )
 from hopfquiver.majid import MajidStructure
-from hopfquiver.pathcoalg import comultiply
+from hopfquiver.pathcoalg import comultiply, path_splits
 from hopfquiver.structure import (
     block_product_check,
     blocks,
@@ -144,14 +143,23 @@ def test_criterion_2_path_coalgebra_suite():
                         id_eps = id_eps + Element.of_path(ctx, l, c)
                 assert eps_id == Element.of_path(ctx, p)
                 assert id_eps == Element.of_path(ctx, p)
-                # coassociativity: leftmost vs rightmost iteration
-                rightmost = iterated_comultiply(quiver, TensorElement.of(ctx, (p,)), 2)
+                # coassociativity: leftmost vs rightmost iteration, and both
+                # equal to the three-fold splits
+                threefold = path_splits(quiver, p, 3)
+                assert len(set(threefold)) == len(threefold)
                 leftmost = {}
+                rightmost = {}
                 for (l, r), c in delta.terms.items():
                     for (ll, lr), cc in comultiply(ctx, quiver, l).terms.items():
                         key = (ll, lr, r)
                         leftmost[key] = leftmost.get(key, ctx.zero()) + c * cc
-                assert rightmost == TensorElement(ctx, 3, leftmost)
+                    for (rl, rr), cc in comultiply(ctx, quiver, r).terms.items():
+                        key = (l, rl, rr)
+                        rightmost[key] = rightmost.get(key, ctx.zero()) + c * cc
+                assert TensorElement(ctx, 3, leftmost) == TensorElement(ctx, 3, rightmost)
+                assert TensorElement(ctx, 3, leftmost) == TensorElement(
+                    ctx, 3, {t: ctx.one() for t in threefold}
+                )
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"path coalgebra suite took {elapsed:.2f}s"
     announce(2, "path coalgebra suite")

@@ -1,7 +1,8 @@
 """Path coalgebra: comultiplication splittings, counit, tensor powers.
 
-The iterated comultiplication is cross-checked against a hand-written
-oracle that expands Delta of each component and interleaves directly.
+The iterated comultiplication (the k-fold `path_splits`) is cross-checked
+against the oracle in `oracles.py`, which expands Delta of each component and
+interleaves directly, and against the leftmost iteration of `comultiply`.
 """
 
 from hypothesis import given, settings
@@ -16,15 +17,12 @@ from hopfquiver import (
     cyclic_group,
     field_context,
     hopf_quiver,
-    iterated_comultiply,
     paths_up_to,
     symmetric_group,
 )
-from hopfquiver.pathcoalg import (
-    element_from_json,
-    graded_component,
-    path_splits,
-)
+from hopfquiver.pathcoalg import element_from_json, path_splits
+
+from oracles import oracle_tensor_comultiply, rightmost_iteration
 
 
 def z2_quiver():
@@ -85,61 +83,49 @@ def test_counit():
     assert counit(Element.of_path(ctx, g0)).is_one()
 
 
-def oracle_tensor_comultiply(ctx, quiver, tensor):
-    """Independent one-step expansion: Delta on each component, interleaved."""
-    out = {}
-    for tup, coeff in tensor.terms.items():
-        choices = [[(l, r) for l, r in path_splits(quiver, p)] for p in tup]
-        stack = [((), ())]
-        for ch in choices:
-            stack = [(ls + (l,), rs + (r,)) for ls, rs in stack for l, r in ch]
-        for ls, rs in stack:
-            key = ls + rs
-            out[key] = out.get(key, ctx.zero()) + coeff
-    return TensorElement(ctx, 2 * tensor.arity, out)
+def splits_tensor(ctx, quiver, p, k):
+    """The k-fold splittings of p as a tensor, checking each appears once."""
+    splits = path_splits(quiver, p, k)
+    assert len(set(splits)) == len(splits)
+    return TensorElement(ctx, k, {t: ctx.one() for t in splits})
 
 
 def test_iterated_comultiply_steps_zero_identity():
     ctx = field_context(1)
     q = z2_quiver()
-    t = TensorElement.of(ctx, (q.arrow_path(0), q.vertex_path(0)))
-    assert iterated_comultiply(q, t, 0) == t
+    p = q.path(0, [0, 1])
+    assert path_splits(q, p, 1) == [(p,)]
+    assert splits_tensor(ctx, q, p, 1) == TensorElement.of(ctx, (p,))
 
 
 def test_iterated_comultiply_grouplikes():
     ctx = field_context(1)
     q = z2_quiver()
     g = q.vertex_path(1)
-    res = iterated_comultiply(q, TensorElement.of(ctx, (g, g)), 1)
-    assert res == TensorElement.of(ctx, (g, g, g, g))
+    assert splits_tensor(ctx, q, g, 4) == TensorElement.of(ctx, (g, g, g, g))
 
 
 def test_iterated_comultiply_arrow_pair_against_oracle():
     ctx = field_context(1)
     q = z2_quiver()
-    a, b = q.arrow_path(0), q.arrow_path(1)
-    t = TensorElement.of(ctx, (a, b))
-    got = iterated_comultiply(q, t, 1)
-    assert got == oracle_tensor_comultiply(ctx, q, t)
-    assert len(got.terms) == 4
+    p = q.path(0, [0, 1])  # the arrow pair a1 a0
+    got = splits_tensor(ctx, q, p, 3)
+    delta = TensorElement.of(ctx, (p,))
+    assert got == rightmost_iteration(ctx, q, delta, 1, 2)
+    assert len(got.terms) == 6
+    # the two-fold splits are Delta itself, and the oracle's one step
+    assert splits_tensor(ctx, q, p, 2) == oracle_tensor_comultiply(ctx, q, delta)
+    assert splits_tensor(ctx, q, p, 2) == comultiply(ctx, q, p)
 
 
 def test_iterated_comultiply_two_steps_against_oracle():
     ctx = field_context(1)
     q = z2_quiver()
-    p = q.path(0, [0, 1])
-    t = TensorElement.of(ctx, (p, q.arrow_path(0)))
-    one_step = oracle_tensor_comultiply(ctx, q, t)
-    # the oracle iterates on the rightmost block just like the implementation
-    two_oracle = {}
-    for tup, c in one_step.terms.items():
-        inner = oracle_tensor_comultiply(
-            ctx, q, TensorElement(ctx, 2, {tup[2:]: c})
-        )
-        for key, cc in inner.terms.items():
-            full = tup[:2] + key
-            two_oracle[full] = two_oracle.get(full, ctx.zero()) + cc
-    assert iterated_comultiply(q, t, 2) == TensorElement(ctx, 6, two_oracle)
+    p = q.path(0, [0, 1, 0])
+    # every arity up to 5 against the oracle iterated on the rightmost leg
+    for k in range(1, 6):
+        expected = rightmost_iteration(ctx, q, TensorElement.of(ctx, (p,)), 1, k - 1)
+        assert splits_tensor(ctx, q, p, k) == expected
 
 
 def test_graded_component_partition():
@@ -153,11 +139,11 @@ def test_graded_component_partition():
             q.path(0, [0, 1]): ctx.scalar(-1),
         },
     )
-    assert graded_component(x, 0) == Element.of_path(ctx, q.vertex_path(0))
-    assert graded_component(x, 1) == Element.of_path(ctx, q.arrow_path(0), 2)
+    assert x.graded_component(0) == Element.of_path(ctx, q.vertex_path(0))
+    assert x.graded_component(1) == Element.of_path(ctx, q.arrow_path(0), 2)
     total = Element.zero(ctx)
     for n in range(4):
-        total = total + graded_component(x, n)
+        total = total + x.graded_component(n)
     assert total == x
 
 
@@ -186,14 +172,16 @@ def test_coalgebra_laws_exhaustive():
                 # grading: leg lengths sum to the path length
                 for (l, r) in delta.terms:
                     assert len(l.arrows) + len(r.arrows) == n
-                # coassociativity via leftmost- vs rightmost-leg iteration
-                right = iterated_comultiply(quiver, TensorElement.of(ctx, (p,)), 2)
+                # coassociativity: the three-fold splits are both the
+                # leftmost- and the rightmost-leg iteration
+                threefold = splits_tensor(ctx, quiver, p, 3)
                 left_terms = {}
                 for (l, r), c in delta.terms.items():
                     for (ll, lr), cc in comultiply(ctx, quiver, l).terms.items():
                         key = (ll, lr, r)
                         left_terms[key] = left_terms.get(key, ctx.zero()) + c * cc
-                assert right == TensorElement(ctx, 3, left_terms)
+                assert threefold == TensorElement(ctx, 3, left_terms)
+                assert threefold == rightmost_iteration(ctx, quiver, TensorElement.of(ctx, (p,)), 1, 2)
                 # counit laws
                 eps_id = Element.zero(ctx)
                 id_eps = Element.zero(ctx)

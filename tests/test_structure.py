@@ -5,6 +5,7 @@ of the eight-factor formula.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -297,6 +298,17 @@ def test_shuffle_product_of_loops():
     p_yx = S.quiver.path(0, [1, 0])
     assert prod == Element(S.ctx, {p_xy: S.ctx.one(), p_yx: S.ctx.one()})
     assert S.multiply(x, y) == S.multiply(y, x)
+    # degree 5: the C(5, 2) shuffles of the arrow words of p and q, counted
+    # with multiplicity
+    S = make_loop_structure(2, cap=5)
+    p = S.quiver.path(0, [0, 1])
+    q = S.quiver.path(0, [1, 0, 0])
+    words = Counter()
+    for slots in itertools.combinations(range(5), 2):
+        of_p, of_q = iter(p.arrows), iter(q.arrows)
+        words[tuple(next(of_p) if i in slots else next(of_q) for i in range(5))] += 1
+    expected = {S.quiver.path(0, w): S.ctx.scalar(c) for w, c in words.items()}
+    assert S.multiply_paths(p, q) == Element(S.ctx, expected)
 
 
 def test_non_loop_arrow_breaks_cocommutativity():
