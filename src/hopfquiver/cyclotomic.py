@@ -1,25 +1,28 @@
 """Exact arithmetic in the cyclotomic rationals Q(zeta_m).
 
-A scalar is a vector of rationals of length phi(m), the coordinates in the
-power basis 1, z, ..., z^(phi(m)-1) of the m-th cyclotomic field, kept fully
-reduced modulo the m-th cyclotomic polynomial.  Equality is therefore literal
-coordinate comparison and every test in the library is exact.  m = 1 and
-m = 2 degenerate to the plain rationals (with z = 1 and z = -1).
+A scalar is a vector of phi(m) rationals, the coordinates in the power basis
+1, z, ..., z^(phi(m)-1) of the m-th cyclotomic field, kept fully reduced
+modulo the m-th cyclotomic polynomial.  It is stored as integer numerators
+over one common positive denominator (the layout of Cohen, *A Course in
+Computational Algebraic Number Theory*, 4.2, and of FLINT's nf_elem), in
+canonical form: gcd(den, *num) == 1, so zero is (0, ..., 0)/1.  Equality is
+therefore literal comparison and every test in the library is exact.  m = 1
+and m = 2 degenerate to the plain rationals (with z = 1 and z = -1).
 
-Rational coordinates use Fraction, so products of long chains of cocycle
-values never overflow or lose precision.
+Products are integer convolutions reduced by the integer monic modulus, so
+products of long chains of cocycle values never overflow or lose precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence, Union
 
-from .errors import FieldDivisionError, RootNotInField
+from .errors import FieldDivisionError
 
 RationalLike = Union[int, str, Fraction]
-ScalarLike = Union["Scalar", int, Fraction]
 
 
 def _exact_poly_div(num: list[int], den: Sequence[int]) -> list[int]:
@@ -52,20 +55,26 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _parse_rational(v: RationalLike) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
+def _parse_rational(v: RationalLike) -> tuple[int, int]:
+    """(p, q) with q > 0 and gcd(p, q) == 1."""
+    if isinstance(v, bool):
+        raise ValueError(f"{v!r} is not a rational number")
     if isinstance(v, int):
-        return Fraction(v)
+        return v, 1
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            v = Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}") from None
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
     raise TypeError(f"cannot interpret {v!r} as a rational number")
 
 
 class FieldContext:
     """Shared context for scalars of one cyclotomic order m."""
 
-    __slots__ = ("order", "degree", "modulus")
+    __slots__ = ("order", "degree", "modulus", "_tail")
 
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 1:
@@ -73,6 +82,8 @@ class FieldContext:
         self.order = m
         self.modulus = cyclotomic_polynomial(m)
         self.degree = len(self.modulus) - 1
+        # z^degree = -sum(modulus[j] z^j): the nonzero terms used to reduce
+        self._tail = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
 
     def __eq__(self, other):
         return isinstance(other, FieldContext) and other.order == self.order
@@ -84,7 +95,7 @@ class FieldContext:
         return f"FieldContext(m={self.order})"
 
     def zero(self) -> "Scalar":
-        return Scalar(self, (Fraction(0),) * self.degree)
+        return Scalar(self, (0,) * self.degree, 1)
 
     def one(self) -> "Scalar":
         return self.scalar(1)
@@ -97,15 +108,9 @@ class FieldContext:
     def root_of_unity(self, k: int) -> "Scalar":
         """zeta^k, reduced."""
         k %= self.order
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return Scalar(self, _reduce(self.modulus, self.degree, coeffs))
-
-    def nth_root(self, n: int, power: int = 1) -> "Scalar":
-        """A primitive n-th root of unity raised to `power`; needs n | m."""
-        if n < 1 or self.order % n != 0:
-            raise RootNotInField(f"no primitive {n}-th root of unity in Q(zeta_{self.order})")
-        return self.root_of_unity((self.order // n) * power)
+        coeffs = [0] * max(k + 1, self.degree)
+        coeffs[k] = 1
+        return Scalar(self, self._reduce(coeffs), 1)
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, "p/q" string, or coordinate list."""
@@ -114,19 +119,32 @@ class FieldContext:
                 raise ValueError("scalar belongs to a different field context")
             return value
         if isinstance(value, (int, str, Fraction)):
-            coeffs = [_parse_rational(value)] + [Fraction(0)] * (self.degree - 1)
-            return Scalar(self, tuple(coeffs))
+            p, q = _parse_rational(value)
+            return Scalar(self, (p,) + (0,) * (self.degree - 1), q)
         if isinstance(value, (list, tuple)):
-            coeffs = [_parse_rational(v) for v in value]
-            if len(coeffs) > self.degree:
-                coeffs = list(_reduce(self.modulus, self.degree, coeffs))
-            coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-            return Scalar(self, tuple(coeffs))
+            coords = [_parse_rational(v) for v in value]
+            # each p/q is reduced, so the lcm of the q is the least common
+            # denominator and (p * den/q) over it is already canonical
+            den = lcm(*(q for _, q in coords))
+            num = [p * (den // q) for p, q in coords]
+            if len(num) > self.degree:
+                return _canonical(self, self._reduce(num), den)
+            num += [0] * (self.degree - len(num))
+            return Scalar(self, tuple(num), den)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
-    def from_json(self, data) -> "Scalar":
-        """Parse the JSON form: "p/q" string, integer, or coordinate array."""
-        return self.scalar(data)
+    def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
+        """Reduce an ascending integer coefficient list, at least `degree`
+        long, modulo the (monic) modulus; consumes the list."""
+        d = self.degree
+        tail = self._tail
+        for i in range(len(coeffs) - 1, d - 1, -1):
+            c = coeffs.pop()
+            if c:
+                base = i - d
+                for j, t in tail:
+                    coeffs[base + j] -= c * t
+        return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -135,53 +153,55 @@ def field_context(m: int) -> FieldContext:
     return FieldContext(m)
 
 
-def _reduce(modulus: Sequence[int], degree: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce an ascending coefficient list modulo the (monic) modulus."""
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, degree - 1, -1):
-        c = coeffs[i]
-        if c:
-            for j in range(degree):
-                if modulus[j]:
-                    coeffs[i - degree + j] -= c * modulus[j]
-        coeffs.pop()
-    while len(coeffs) < degree:
-        coeffs.append(Fraction(0))
-    return tuple(coeffs)
+def _canonical(ctx: FieldContext, num: tuple[int, ...], den: int) -> "Scalar":
+    """The scalar num/den (den > 0), divided through by gcd(den, *num)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    return Scalar(ctx, num, den)
 
 
 class Scalar:
-    """An element of Q(zeta_m) in reduced power-basis coordinates.
+    """An element of Q(zeta_m): integer power-basis numerators `num` over
+    one positive denominator `den`, with gcd(den, *num) == 1.
 
     Immutable; all operations are pure, so scalars can be shared freely.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx: FieldContext, coeffs: tuple[Fraction, ...]):
+    def __init__(self, ctx: FieldContext, num: tuple[int, ...], den: int):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        num = self.num
+        return self.den == 1 and num[0] == 1 and not any(num[1:])
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.ctx.order == other.ctx.order and self.coeffs == other.coeffs
+            return (
+                self.ctx.order == other.ctx.order
+                and self.den == other.den
+                and self.num == other.num
+            )
         if isinstance(other, (int, Fraction)):
             return self == self.ctx.scalar(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx.order, self.coeffs))
+        return hash((self.ctx.order, self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -194,30 +214,38 @@ class Scalar:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return Scalar(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(self.ctx, tuple(a + b for a, b in zip(self.num, other.num)), da)
+        num = tuple(a * db + b * da for a, b in zip(self.num, other.num))
+        return _canonical(self.ctx, num, da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return Scalar(self.ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(self.ctx, tuple(a - b for a, b in zip(self.num, other.num)), da)
+        num = tuple(a * db - b * da for a, b in zip(self.num, other.num))
+        return _canonical(self.ctx, num, da * db)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Scalar(self.ctx, tuple(-a for a in self.coeffs))
+        return Scalar(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        d = self.ctx.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        ctx = self.ctx
+        bs = [(j, b) for j, b in enumerate(other.num) if b]
+        prod = [0] * (2 * ctx.degree - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return Scalar(self.ctx, _reduce(self.ctx.modulus, d, prod))
+                for j, b in bs:
+                    prod[i + j] += a * b
+        return _canonical(ctx, ctx._reduce(prod), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -227,7 +255,7 @@ class Scalar:
             raise FieldDivisionError("inverse of zero")
         # Invert in Q[x] / (modulus); the cyclotomic polynomial is
         # irreducible over Q so the gcd with any nonzero residue is constant.
-        a = list(self.coeffs)
+        a = self._coordinates()
         b = [Fraction(c) for c in self.ctx.modulus]
         s0, s1 = [Fraction(1)], [Fraction(0)]
         while _poly_degree(b) >= 0:
@@ -235,8 +263,7 @@ class Scalar:
             a, b = b, _poly_sub(a, _poly_mul(q, b))
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         lead = a[_poly_degree(a)]
-        inv = [c / lead for c in s0]
-        return Scalar(self.ctx, _reduce(self.ctx.modulus, self.ctx.degree, inv))
+        return self.ctx.scalar([c / lead for c in s0])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -264,7 +291,7 @@ class Scalar:
     def format(self) -> str:
         """Readable polynomial form in z (the primitive m-th root)."""
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self._coordinates()):
             if not c:
                 continue
             mono = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
@@ -282,9 +309,14 @@ class Scalar:
 
     def to_json(self):
         """Canonical JSON form: "p/q" when rational, else coordinate array."""
-        if not any(self.coeffs[1:]):
-            return str(self.coeffs[0])
-        return [str(c) for c in self.coeffs]
+        coords = self._coordinates()
+        if not any(coords[1:]):
+            return str(coords[0])
+        return [str(c) for c in coords]
+
+    def _coordinates(self) -> list[Fraction]:
+        """The power-basis coordinates as rationals."""
+        return [Fraction(c, self.den) for c in self.num]
 
 
 def _poly_degree(p: list[Fraction]) -> int:

@@ -135,7 +135,7 @@ def element_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Iterable[dict
     terms: dict[Path, Scalar] = {}
     for item in data:
         p = quiver.path(item["source"], item.get("arrows", []))
-        c = ctx.from_json(item["coeff"])
+        c = ctx.scalar(item["coeff"])
         terms[p] = terms[p] + c if p in terms else c
     return Element(ctx, terms)
 

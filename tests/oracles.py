@@ -3,10 +3,13 @@
 They are the literal definitions, which `src` computes by shorter routes:
 the componentwise comultiplication of a tensor of paths, its iteration on
 the rightmost block, and the graded product M_n = M_1^(x n) o Delta_2^(n-1)
-read off that iteration.
+read off that iteration; and Q(zeta_m) arithmetic on tuples of Fraction
+coordinates, which `src` does on integer numerators over one denominator.
 """
 
-from hopfquiver import Element, TensorElement
+from fractions import Fraction
+
+from hopfquiver import Element, TensorElement, cyclotomic_polynomial
 from hopfquiver.pathcoalg import path_splits
 
 
@@ -76,3 +79,138 @@ def product_by_expansion(S, p, q):
         for path, coeff in S._assemble(legs).items():
             acc[path] = acc[path] + c * coeff if path in acc else c * coeff
     return Element(S.ctx, acc)
+
+
+# -- Q(zeta_m) on Fraction coordinates ------------------------------------
+
+
+def _reduce(modulus, degree, coeffs):
+    """Reduce an ascending coefficient list modulo the (monic) modulus."""
+    coeffs = list(coeffs)
+    for i in range(len(coeffs) - 1, degree - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j in range(degree):
+                if modulus[j]:
+                    coeffs[i - degree + j] -= c * modulus[j]
+        coeffs.pop()
+    while len(coeffs) < degree:
+        coeffs.append(Fraction(0))
+    return tuple(coeffs)
+
+
+def _poly_degree(p):
+    for i in range(len(p) - 1, -1, -1):
+        if p[i]:
+            return i
+    return -1
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = a + [Fraction(0)] * (n - len(a))
+    b = b + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def _poly_quotient(a, b):
+    da, db = _poly_degree(a), _poly_degree(b)
+    if da < db:
+        return [Fraction(0)]
+    rem = list(a)
+    quot = [Fraction(0)] * (da - db + 1)
+    for i in range(da - db, -1, -1):
+        c = rem[i + db] / b[db]
+        quot[i] = c
+        for j in range(db + 1):
+            rem[i + j] -= c * b[j]
+    return quot
+
+
+class FractionScalar:
+    """An element of Q(zeta_m) as phi(m) Fraction coordinates in the power
+    basis, reduced modulo the m-th cyclotomic polynomial."""
+
+    def __init__(self, m, coords):
+        self.m = m
+        self.modulus = cyclotomic_polynomial(m)
+        self.degree = len(self.modulus) - 1
+        self.coeffs = _reduce(self.modulus, self.degree, [Fraction(c) for c in coords])
+
+    def _new(self, coords):
+        return FractionScalar(self.m, coords)
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def __eq__(self, other):
+        return self.m == other.m and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        return self._new([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return self._new([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return self._new([-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        return self._new(_poly_mul(list(self.coeffs), list(other.coeffs)))
+
+    def inverse(self):
+        """Extended Euclid in Q[x] against the (irreducible) modulus."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        a = list(self.coeffs)
+        b = [Fraction(c) for c in self.modulus]
+        s0, s1 = [Fraction(1)], [Fraction(0)]
+        while _poly_degree(b) >= 0:
+            q = _poly_quotient(a, b)
+            a, b = b, _poly_sub(a, _poly_mul(q, b))
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        lead = a[_poly_degree(a)]
+        return self._new([c / lead for c in s0])
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self._new([1])
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def format(self):
+        """Readable polynomial form in z (the primitive m-th root)."""
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            mono = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
+            if k == 0:
+                body = str(c)
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = f"{abs(c)}*{mono}"
+            if not parts:
+                parts.append(body if c > 0 or k == 0 else f"-{body}")
+            else:
+                parts.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(parts) if parts else "0"
+
+    def to_json(self):
+        """"p/q" when rational, else the coordinate array."""
+        if not any(self.coeffs[1:]):
+            return str(self.coeffs[0])
+        return [str(c) for c in self.coeffs]

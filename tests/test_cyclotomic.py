@@ -1,14 +1,18 @@
-"""Field arithmetic: exactness, primitivity, and an independent polynomial
-oracle for multiplication in Q(zeta_3)."""
+"""Field arithmetic: exactness, primitivity, an independent polynomial
+oracle for multiplication in Q(zeta_3), and a differential check of the
+integer-numerator scalars against Fraction-coordinate arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfquiver import cyclotomic_polynomial, field_context
-from hopfquiver.errors import FieldDivisionError, RootNotInField
+from hopfquiver.errors import FieldDivisionError
+
+from oracles import FractionScalar
 
 
 # -- independent oracle: schoolbook polynomial arithmetic mod an integer poly
@@ -64,7 +68,7 @@ def test_product_against_poly_oracle():
     z = ctx.zeta
     lhs = (ctx.one() + z) * (ctx.one() + z * z)
     expected = poly_mul_mod([1, 1], [1, 0, 1], cyclotomic_polynomial(3))
-    assert list(lhs.coeffs) == expected
+    assert [Fraction(c, lhs.den) for c in lhs.num] == expected
     assert lhs.is_one()
 
 
@@ -91,18 +95,18 @@ def test_primitivity_up_to_12():
 
 
 def test_nth_root_lookup():
+    # a primitive n-th root of unity for n | m is zeta_m^(m/n), as the
+    # cyclic_standard cocycle kind looks it up
     ctx = field_context(8)
-    i = ctx.nth_root(4)
+    i = ctx.root_of_unity(8 // 4)
     assert (i ** 4).is_one() and not (i ** 2).is_one()
-    with pytest.raises(RootNotInField):
-        ctx.nth_root(3)
 
 
 def test_json_roundtrip():
     ctx = field_context(4)
     vals = [ctx.scalar("3/7"), ctx.zeta, ctx.scalar(-2) + ctx.zeta, ctx.zero()]
     for v in vals:
-        assert ctx.from_json(v.to_json()) == v
+        assert ctx.scalar(v.to_json()) == v
     assert ctx.scalar("3/7").to_json() == "3/7"
     assert ctx.zeta.to_json() == ["0", "1"]
 
@@ -139,3 +143,70 @@ def test_sub_neg_pow(a):
     assert -(-a) == a
     assert a ** 0 == ctx.one()
     assert a ** 2 == a * a
+
+
+# -- differential check against Fraction-coordinate arithmetic -------------
+
+ORDERS = list(range(1, 13)) + [15, 16, 20]
+
+
+def coordinate_lists(m):
+    """Coordinate lists up to two longer than phi(m) (so `scalar` reduces
+    them): either over one shared denominator, or mixed zeros, integers and
+    fractions of either sign."""
+    deg = len(cyclotomic_polynomial(m)) - 1
+    shared = st.integers(1, 12).flatmap(
+        lambda q: st.lists(
+            st.integers(-24, 24).map(lambda p: Fraction(p, q)),
+            min_size=1, max_size=deg + 2,
+        )
+    )
+    mixed = st.lists(
+        st.one_of(
+            st.just(Fraction(0)),
+            st.integers(-30, 30).map(Fraction),
+            st.fractions(min_value=-8, max_value=8, max_denominator=9),
+        ),
+        min_size=1, max_size=deg + 2,
+    )
+    return st.one_of(shared, mixed)
+
+
+def assert_matches(s, oracle):
+    """Same element, same rendering, and `s` in canonical form."""
+    assert s.den > 0
+    assert gcd(s.den, *s.num) == 1
+    if not any(s.num):
+        assert s.den == 1
+    assert len(s.num) == s.ctx.degree
+    assert tuple(Fraction(c, s.den) for c in s.num) == oracle.coeffs
+    assert s.format() == oracle.format()
+    assert s.to_json() == oracle.to_json()
+    assert s.is_zero() == oracle.is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ORDERS).flatmap(
+        lambda m: st.tuples(st.just(m), coordinate_lists(m), coordinate_lists(m))
+    )
+)
+def test_scalar_matches_fraction_oracle(case):
+    m, xs, ys = case
+    ctx = field_context(m)
+    a, b = ctx.scalar(xs), ctx.scalar(ys)
+    A, B = FractionScalar(m, xs), FractionScalar(m, ys)
+    assert ctx.scalar([str(x) for x in xs]) == a
+    assert_matches(a, A)
+    assert_matches(b, B)
+    assert_matches(a + b, A + B)
+    assert_matches(a - b, A - B)
+    assert_matches(b - a, B - A)
+    assert_matches(-a, -A)
+    assert_matches(a * b, A * B)
+    assert_matches(a ** 3, A ** 3)
+    assert (a == b) == (A == B)
+    if not a.is_zero():
+        assert_matches(a.inverse(), A.inverse())
+        assert_matches(b / a, B * A.inverse())
+        assert_matches(a ** -2, A ** -2)

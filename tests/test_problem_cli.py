@@ -139,6 +139,34 @@ def test_cli_parse_error_exits_2(tmp_path, capsys):
     assert run_cli("run", "--spec", str(missing), "--out", str(tmp_path)) == 2
 
 
+def _exit_code_with_coeff(tmp_path, where, value):
+    """Run `verify` on z2_taft with one coefficient replaced: the first
+    action value's coefficient, or the cocycle-table entry Phi(1, 1, 1)."""
+    data = base_spec()
+    if where == "action":
+        data["action"]["left"][0]["value"][0]["coeff"] = value
+    else:
+        values = [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", value]]]
+        data["cocycle"] = {"kind": "table", "values": values}
+    bad = tmp_path / f"bad_{where}.json"
+    bad.write_text(json.dumps(data))
+    return run_cli("run", "--spec", str(bad), "--out", str(tmp_path))
+
+
+@pytest.mark.parametrize("where", ["action", "cocycle"])
+def test_cli_zero_denominator_exits_2(tmp_path, capsys, where):
+    for value in ("1/0", [1, "2/0"]):
+        assert _exit_code_with_coeff(tmp_path, where, value) == 2, value
+        assert "zero denominator in '" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["action", "cocycle"])
+def test_cli_boolean_coefficient_exits_2(tmp_path, capsys, where):
+    for value in (True, [True, 0]):
+        assert _exit_code_with_coeff(tmp_path, where, value) == 2, value
+        assert "True is not a rational number" in capsys.readouterr().err
+
+
 def test_cli_degree_cap_override(tmp_path, capsys):
     code = run_cli(
         "run", "--spec", str(SPECS_DIR / "z2_taft.json"),
