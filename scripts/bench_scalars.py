@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Time Q(zeta_m) scalar multiplication and inversion per field order m.
 
-For each m in ORDERS the operands are fixed by the seed: `roots` are pairs
+For each m in ORDERS the operands are fixed by SEED: `roots` are pairs
 of powers of zeta (the values of the standard cyclic cocycles) and
 `rationals` pairs of random coordinate vectors with numerators in [-9, 9]
-and denominators in [1, 6].  Each figure is the median, over `--repeats`
-timed loops, of the mean time of one `a * b` (or one `a.inverse()`, timed
-over a tenth of the loops) in microseconds.  Only the public API is used
-(`field_context`, `root_of_unity`, `scalar`, `*`, `inverse`), so the script
-times any checkout's `hopfquiver`, and records that checkout's git commit.
+and denominators in [1, 6].  Each figure is the median, over REPEATS
+timed runs of LOOPS loops, of the mean time of one `a * b` (or one
+`a.inverse()`, timed over a tenth of the loops) in microseconds.  Only the
+public API is used (`field_context`, `root_of_unity`, `scalar`, `*`,
+`inverse`), so the script times any checkout's `hopfquiver`, and records that
+checkout's git commit.
 
 Run from the repository root:
 
@@ -34,6 +35,9 @@ from hopfquiver import field_context
 
 ORDERS = (3, 4, 5, 7, 8, 9, 11, 12)
 PAIRS = 64
+SEED = 1
+LOOPS = 20
+REPEATS = 5
 
 
 def operands(m: int, kind: str, rng: random.Random) -> list:
@@ -79,38 +83,35 @@ def git_commit(path: Path) -> dict:
     }
 
 
-def run(seed: int, loops: int, repeats: int) -> dict:
-    rng = random.Random(seed)
+def run() -> dict:
+    rng = random.Random(SEED)
     per_m = {}
     for m in ORDERS:
         row = {"degree": field_context(m).degree}
         for kind in ("roots", "rationals"):
             pairs = operands(m, kind, rng)
-            row[f"mul_{kind}_us"] = time_us(lambda a, b: a * b, pairs, loops, repeats)
+            row[f"mul_{kind}_us"] = time_us(lambda a, b: a * b, pairs, LOOPS, REPEATS)
             row[f"inverse_{kind}_us"] = time_us(
-                lambda a, b: a.inverse(), pairs, max(1, loops // 10), repeats
+                lambda a, b: a.inverse(), pairs, LOOPS // 10, REPEATS
             )
         per_m[str(m)] = row
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
         **git_commit(Path(hopfquiver.__file__).resolve().parent),
-        "seed": seed,
-        "loops": loops,
-        "repeats": repeats,
+        "seed": SEED,
+        "loops": LOOPS,
+        "repeats": REPEATS,
         "per_m": per_m,
     }
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--loops", type=int, default=20)
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--label", default="current")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
-    result = run(args.seed, args.loops, args.repeats)
+    result = run()
     if args.out is None:
         print(json.dumps(result, indent=2))
         return
