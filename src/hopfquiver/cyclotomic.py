@@ -11,6 +11,9 @@ and m = 2 degenerate to the plain rationals (with z = 1 and z = -1).
 
 Products are integer convolutions reduced by the integer monic modulus, so
 products of long chains of cocycle values never overflow or lose precision.
+Inverses are integer too, through the field norm (Cohen, 4.3): with c the
+product of the Galois conjugates sigma_k(x), sigma_k: z -> z^k, over the
+units k != 1 mod m, N(x) = x * c is a rational integer and x^-1 = c / N(x).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def _parse_rational(v: RationalLike) -> tuple[int, int]:
 class FieldContext:
     """Shared context for scalars of one cyclotomic order m."""
 
-    __slots__ = ("order", "degree", "modulus", "_tail")
+    __slots__ = ("order", "degree", "modulus", "_tail", "_conjugators", "_one")
 
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 1:
@@ -84,6 +87,13 @@ class FieldContext:
         self.degree = len(self.modulus) - 1
         # z^degree = -sum(modulus[j] z^j): the nonzero terms used to reduce
         self._tail = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
+        # for each unit k != 1 mod m, where sigma_k moves z^j: to z^(jk mod m)
+        self._conjugators = tuple(
+            tuple(j * k % m for j in range(self.degree))
+            for k in range(2, m)
+            if gcd(k, m) == 1
+        )
+        self._one = Scalar(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def __eq__(self, other):
         return isinstance(other, FieldContext) and other.order == self.order
@@ -98,7 +108,7 @@ class FieldContext:
         return Scalar(self, (0,) * self.degree, 1)
 
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        return self._one
 
     @property
     def zeta(self) -> "Scalar":
@@ -132,6 +142,16 @@ class FieldContext:
             num += [0] * (self.degree - len(num))
             return Scalar(self, tuple(num), den)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
+
+    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """The reduced product of two numerator tuples."""
+        bs = [(j, y) for j, y in enumerate(b) if y]
+        prod = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in bs:
+                    prod[i + j] += x * y
+        return self._reduce(prod)
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         """Reduce an ascending integer coefficient list, at least `degree`
@@ -239,31 +259,31 @@ class Scalar:
     def __mul__(self, other):
         other = self._coerce(other)
         ctx = self.ctx
-        bs = [(j, b) for j, b in enumerate(other.num) if b]
-        prod = [0] * (2 * ctx.degree - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in bs:
-                    prod[i + j] += a * b
-        return _canonical(ctx, ctx._reduce(prod), self.den * other.den)
+        return _canonical(ctx, ctx._mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse through the field norm: with c the product
+        of the conjugates sigma_k(num) over the units k != 1 mod m, the norm
+        N = num * c is a rational integer and (num/den)^-1 = den * c / N."""
         if self.is_zero():
             raise FieldDivisionError("inverse of zero")
-        # Invert in Q[x] / (modulus); the cyclotomic polynomial is
-        # irreducible over Q so the gcd with any nonzero residue is constant.
-        a = self._coordinates()
-        b = [Fraction(c) for c in self.ctx.modulus]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while _poly_degree(b) >= 0:
-            q = _poly_quotient(a, b)
-            a, b = b, _poly_sub(a, _poly_mul(q, b))
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        lead = a[_poly_degree(a)]
-        return self.ctx.scalar([c / lead for c in s0])
+        ctx = self.ctx
+        num = self.num
+        c = ctx._one.num
+        for targets in ctx._conjugators:
+            moved = [0] * ctx.order
+            for t, a in zip(targets, num):
+                moved[t] = a
+            c = ctx._mul(c, ctx._reduce(moved))
+        norm = ctx._mul(num, c)
+        if any(norm[1:]):
+            raise ArithmeticError("the norm is not rational")
+        # N < 0 only for m = 1, 2: for m >= 3 the field is CM, so the
+        # embeddings pair off into complex conjugates and N is positive
+        scale = self.den if norm[0] > 0 else -self.den
+        return _canonical(ctx, tuple(scale * a for a in c), abs(norm[0]))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -317,45 +337,3 @@ class Scalar:
     def _coordinates(self) -> list[Fraction]:
         """The power-basis coordinates as rationals."""
         return [Fraction(c, self.den) for c in self.num]
-
-
-def _poly_degree(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_quotient(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    da, db = _poly_degree(a), _poly_degree(b)
-    if da < db:
-        return [Fraction(0)]
-    rem = list(a)
-    quot = [Fraction(0)] * (da - db + 1)
-    lead = b[db]
-    for i in range(da - db, -1, -1):
-        c = rem[i + db] / lead
-        quot[i] = c
-        if c:
-            for j in range(db + 1):
-                rem[i + j] -= c * b[j]
-    return quot

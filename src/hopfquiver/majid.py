@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .cyclotomic import FieldContext, Scalar
-from .errors import ActionNotDegree1, DegreeCapExceeded
+from .errors import ActionNotDegree1, DegreeCapExceeded, SpecError
 from .groups import Cocycle3, FiniteGroup
 from .pathcoalg import (
     Element,
@@ -145,8 +145,21 @@ def action_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Mapping) -> Bi
                 )
         return element_from_json(ctx, quiver, terms)
 
-    left = {(item["g"], item["arrow"]): value_of(item) for item in data.get("left", [])}
-    right = {(item["arrow"], item["g"]): value_of(item) for item in data.get("right", [])}
+    def checked(side, item) -> tuple[int, int]:
+        g, a = item["g"], item["arrow"]
+        # `type(...) is int` rejects bool, which isinstance(..., int) accepts
+        if type(g) is not int or not 0 <= g < quiver.group.order:
+            raise SpecError(f"action.{side}: g={g!r} is not a group element")
+        if type(a) is not int or not 0 <= a < len(quiver.arrows):
+            raise SpecError(f"action.{side}: arrow={a!r} is not an arrow of the quiver")
+        return g, a
+
+    left, right = {}, {}
+    for item in data.get("left", []):
+        left[checked("left", item)] = value_of(item)
+    for item in data.get("right", []):
+        g, a = checked("right", item)
+        right[(a, g)] = value_of(item)
     return BimoduleAction(ctx, quiver, left, right)
 
 

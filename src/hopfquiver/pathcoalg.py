@@ -45,8 +45,8 @@ class Element:
         return Element(ctx)
 
     @staticmethod
-    def of_path(ctx: FieldContext, path: Path, coeff: Scalar | int = 1) -> "Element":
-        c = ctx.scalar(coeff) if not isinstance(coeff, Scalar) else coeff
+    def of_path(ctx: FieldContext, path: Path, coeff: Scalar | int | None = None) -> "Element":
+        c = ctx.one() if coeff is None else ctx.scalar(coeff)
         return Element(ctx, {path: c})
 
     # -- structure queries ------------------------------------------------

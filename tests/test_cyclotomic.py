@@ -2,6 +2,7 @@
 oracle for multiplication in Q(zeta_3), and a differential check of the
 integer-numerator scalars against Fraction-coordinate arithmetic."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -210,3 +211,37 @@ def test_scalar_matches_fraction_oracle(case):
         assert_matches(a.inverse(), A.inverse())
         assert_matches(b / a, B * A.inverse())
         assert_matches(a ** -2, A ** -2)
+
+
+# -- the inverse through the field norm against extended Euclid ------------
+
+
+def _coords(x):
+    return [Fraction(c, x.den) for c in x.num]
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_inverse_by_norm(m):
+    ctx = field_context(m)
+    for k in range(m):
+        z = ctx.root_of_unity(k)
+        assert z.inverse() == ctx.root_of_unity(m - k), k
+        assert (-z).inverse() == -ctx.root_of_unity(m - k), k
+    rng = random.Random(m)
+    dense = [
+        ctx.scalar([
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+            for _ in range(ctx.degree)
+        ])
+        for _ in range(3)
+    ]
+    for x in [2 * ctx.root_of_unity(k) for k in range(m)] + dense:
+        inv = x.inverse()
+        assert (x * inv).is_one()
+        assert_matches(inv, FractionScalar(m, _coords(x)).inverse())
+    if m <= 2:
+        # the plain rationals: the norm of a negative number is negative
+        for v in ("-1", "-7", "-3/5", "-12/35"):
+            inv = ctx.scalar(v).inverse()
+            assert_matches(inv, FractionScalar(m, [Fraction(v)]).inverse())
+            assert inv == ctx.scalar(1 / Fraction(v))

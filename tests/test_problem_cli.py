@@ -167,6 +167,44 @@ def test_cli_boolean_coefficient_exits_2(tmp_path, capsys, where):
         assert "True is not a rational number" in capsys.readouterr().err
 
 
+def _exit_code_of(tmp_path, data):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return run_cli("run", "--spec", str(path), "--out", str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ({"arrow": 0, "g": 7, "value": [{"arrow": 1, "coeff": "1"}]}, "g=7"),
+        ({"arrow": 99, "g": 0, "value": []}, "arrow=99"),
+    ],
+    ids=["g_outside_group", "arrow_outside_quiver"],
+)
+def test_cli_out_of_range_action_key_exits_2(tmp_path, capsys, entry, named):
+    for side in ("left", "right"):
+        data = base_spec()
+        data["action"][side].append(entry)
+        assert _exit_code_of(tmp_path, data) == 2, side
+        assert f"action.{side}: {named} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("class_rep", lambda data: data["ramification"][0].update(class_rep=5)),
+        ("degree_cap", lambda data: data.update(degree_cap=True)),
+        ("mult", lambda data: data["ramification"][0].update(mult=True)),
+    ],
+    ids=["class_rep_outside_group", "boolean_degree_cap", "boolean_mult"],
+)
+def test_cli_bad_integer_field_exits_2(tmp_path, capsys, field, edit):
+    data = base_spec()
+    edit(data)
+    assert _exit_code_of(tmp_path, data) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_cli_degree_cap_override(tmp_path, capsys):
     code = run_cli(
         "run", "--spec", str(SPECS_DIR / "z2_taft.json"),
