@@ -145,21 +145,16 @@ def action_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Mapping) -> Bi
                 )
         return element_from_json(ctx, quiver, terms)
 
-    def checked(side, item) -> tuple[int, int]:
-        g, a = item["g"], item["arrow"]
-        # `type(...) is int` rejects bool, which isinstance(..., int) accepts
-        if type(g) is not int or not 0 <= g < quiver.group.order:
-            raise SpecError(f"action.{side}: g={g!r} is not a group element")
-        if type(a) is not int or not 0 <= a < len(quiver.arrows):
-            raise SpecError(f"action.{side}: arrow={a!r} is not an arrow of the quiver")
-        return g, a
-
     left, right = {}, {}
-    for item in data.get("left", []):
-        left[checked("left", item)] = value_of(item)
-    for item in data.get("right", []):
-        g, a = checked("right", item)
-        right[(a, g)] = value_of(item)
+    for side, table in (("left", left), ("right", right)):
+        for item in data.get(side, []):
+            g, a = item["g"], item["arrow"]
+            # `type(x) is int` rejects bool, which JSON true/false parse to
+            if type(g) is not int or not 0 <= g < quiver.group.order:
+                raise SpecError(f"action.{side}: g={g!r} is not a group element")
+            if type(a) is not int or not 0 <= a < len(quiver.arrows):
+                raise SpecError(f"action.{side}: arrow={a!r} is not an arrow of the quiver")
+            table[(g, a) if side == "left" else (a, g)] = value_of(item)
     return BimoduleAction(ctx, quiver, left, right)
 
 

@@ -73,11 +73,6 @@ def _require(cond, message):
         raise SpecError(message)
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool (JSON true/false would pass isinstance)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_problem(source) -> ProblemSpec:
     """Parse a problem from a dict, JSON string, or file path."""
     if isinstance(source, (str, FsPath)):
@@ -95,10 +90,11 @@ def load_problem(source) -> ProblemSpec:
 
 def problem_from_dict(data: dict) -> ProblemSpec:
     _require(isinstance(data, dict), "problem file must be a JSON object")
+    # `type(x) is int` rejects bool, which JSON true/false parse to
     schema = data.get("schema")
-    _require(_is_int(schema) and schema == 1, "missing or unsupported schema (expected 1)")
+    _require(type(schema) is int and schema == 1, "missing or unsupported schema (expected 1)")
     m = data.get("field_order")
-    _require(_is_int(m) and m >= 1, "field_order must be a positive integer")
+    _require(type(m) is int and m >= 1, "field_order must be a positive integer")
     ctx = field_context(m)
 
     group_data = data.get("group")
@@ -112,23 +108,17 @@ def problem_from_dict(data: dict) -> ProblemSpec:
 
     ram_data = data.get("ramification", [])
     _require(isinstance(ram_data, list), "ramification must be a list")
+    reps = []
     for item in ram_data:
+        _require(isinstance(item, dict), f"malformed ramification entry {item!r}")
+        rep, mult = item.get("class_rep"), item.get("mult")
         _require(
-            isinstance(item, dict) and "class_rep" in item and "mult" in item,
-            f"malformed ramification entry {item!r}: needs class_rep and mult",
-        )
-        rep, mult = item["class_rep"], item["mult"]
-        _require(
-            _is_int(rep) and 0 <= rep < group.order,
+            type(rep) is int and 0 <= rep < group.order,
             f"ramification class_rep {rep!r} is not a group element (0..{group.order - 1})",
         )
-        _require(
-            _is_int(mult) and mult >= 0,
-            f"ramification mult {mult!r} must be a nonnegative integer",
-        )
-    ram = RamificationData.from_class_reps(
-        group, [(item["class_rep"], item["mult"]) for item in ram_data]
-    )
+        _require(type(mult) is int and mult >= 0, f"ramification mult {mult!r} is not an int >= 0")
+        reps.append((rep, mult))
+    ram = RamificationData.from_class_reps(group, reps)
     quiver = hopf_quiver(group, ram)
 
     try:
@@ -137,7 +127,7 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         raise SpecError(f"malformed action table: {exc}") from exc
 
     cap = data.get("degree_cap")
-    _require(_is_int(cap) and cap >= 0, "degree_cap must be a nonnegative integer")
+    _require(type(cap) is int and cap >= 0, "degree_cap must be a nonnegative integer")
 
     tasks = tuple(data.get("tasks", ()))
     _require(tasks, "tasks must be a nonempty list")
@@ -168,8 +158,8 @@ def _parse_cocycle(ctx: FieldContext, group: FiniteGroup, data) -> Cocycle3:
     if kind == "cyclic_standard":
         n = data.get("n")
         power = data.get("zeta_power", 1)
-        _require(_is_int(n) and n >= 1, "cyclic_standard.n must be a positive integer")
-        _require(_is_int(power), "cyclic_standard.zeta_power must be an integer")
+        _require(type(n) is int and n >= 1, "cyclic_standard.n must be a positive integer")
+        _require(type(power) is int, "cyclic_standard.zeta_power must be an integer")
         _require(
             n == group.order
             and all(group.mul(i, j) == (i + j) % n for i in range(n) for j in range(n)),

@@ -93,8 +93,13 @@ class HopfQuiver:
         return Path(path.source, path.arrows + (arrow_index,), a.target)
 
     def path(self, source: int, arrow_indices: Sequence[int]) -> Path:
+        """The path read from input: `source`, then the traversed arrows."""
+        if type(source) is not int or not 0 <= source < self.group.order:
+            raise ValueError(f"no vertex {source!r}")
         p = self.vertex_path(source)
         for idx in arrow_indices:
+            if type(idx) is not int or not 0 <= idx < len(self.arrows):
+                raise ValueError(f"no arrow {idx!r}")
             p = self.extend(p, idx)
         return p
 

@@ -190,6 +190,22 @@ def test_cli_out_of_range_action_key_exits_2(tmp_path, capsys, entry, named):
 
 
 @pytest.mark.parametrize(
+    "term, named",
+    [
+        ({"arrow": -1, "coeff": "-1"}, "no arrow -1"),
+        ({"source": 0, "arrows": [5], "coeff": "1"}, "no arrow 5"),
+        ({"source": 9, "arrows": [], "coeff": "1"}, "no vertex 9"),
+    ],
+    ids=["negative_arrow", "arrow_outside_quiver", "vertex_outside_group"],
+)
+def test_cli_out_of_range_action_value_exits_2(tmp_path, capsys, term, named):
+    data = base_spec()
+    data["action"]["left"][2]["value"] = [term]
+    assert _exit_code_of(tmp_path, data) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "field, edit",
     [
         ("class_rep", lambda data: data["ramification"][0].update(class_rep=5)),
