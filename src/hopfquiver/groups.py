@@ -43,10 +43,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mult[self.mult[g][x]][self.inverse[g]]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -248,18 +244,6 @@ class Cocycle3:
 
     def __call__(self, a: int, b: int, c: int) -> Scalar:
         return self.values[a][b][c]
-
-    def pointwise_inverse(self) -> "Cocycle3":
-        inv = tuple(
-            tuple(tuple(v.inverse() for v in row) for row in plane)
-            for plane in self.values
-        )
-        return Cocycle3(self.group, self.ctx, inv)
-
-    def is_trivial(self) -> bool:
-        return all(
-            v.is_one() for plane in self.values for row in plane for v in row
-        )
 
     def with_entry(self, a: int, b: int, c: int, value: Scalar) -> "Cocycle3":
         """Copy with one table entry replaced (for mutation experiments)."""

@@ -43,10 +43,10 @@ from .errors import ActionNotDegree1, DegreeCapExceeded, SpecError
 from .groups import Cocycle3, FiniteGroup
 from .pathcoalg import (
     Element,
-    TensorElement,
     comultiply_element,
     counit,
     path_splits,
+    tensor_of_pairs,
 )
 from .quiver import HopfQuiver, Path
 from .report import VerificationReport
@@ -139,9 +139,11 @@ def action_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Mapping) -> Bi
             if "arrows" in t or "source" in t:
                 terms.append(t)
             else:
-                arrow = quiver.arrow(t["arrow"])
+                idx = t["arrow"]
+                if not quiver.has_arrow(idx):
+                    raise ValueError(f"no arrow {idx!r}")
                 terms.append(
-                    {"source": arrow.source, "arrows": [t["arrow"]], "coeff": t["coeff"]}
+                    {"source": quiver.arrow(idx).source, "arrows": [idx], "coeff": t["coeff"]}
                 )
         return element_from_json(ctx, quiver, terms)
 
@@ -152,7 +154,7 @@ def action_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Mapping) -> Bi
             # `type(x) is int` rejects bool, which JSON true/false parse to
             if type(g) is not int or not 0 <= g < quiver.group.order:
                 raise SpecError(f"action.{side}: g={g!r} is not a group element")
-            if type(a) is not int or not 0 <= a < len(quiver.arrows):
+            if not quiver.has_arrow(a):
                 raise SpecError(f"action.{side}: arrow={a!r} is not an arrow of the quiver")
             table[(g, a) if side == "left" else (a, g)] = value_of(item)
     return BimoduleAction(ctx, quiver, left, right)
@@ -264,7 +266,6 @@ class MajidStructure:
         self.degree_cap = degree_cap
         self.ctx = phi.ctx
         g = self.group
-        self._alpha = {v: self.ctx.one() for v in g.elements()}
         self._beta = {
             v: phi(v, g.inv(v), v).inverse() for v in g.elements()
         }
@@ -298,18 +299,8 @@ class MajidStructure:
 
     # -- the functionals ------------------------------------------------------
 
-    def alpha_of_path(self, p: Path) -> Scalar:
-        return self._alpha[p.source] if p.is_vertex() else self.ctx.zero()
-
     def beta_of_path(self, p: Path) -> Scalar:
         return self._beta[p.source] if p.is_vertex() else self.ctx.zero()
-
-    def alpha(self, x: Element) -> Scalar:
-        total = self.ctx.zero()
-        for p, c in x.terms.items():
-            if p.is_vertex():
-                total = total + c
-        return total
 
     def beta(self, x: Element) -> Scalar:
         total = self.ctx.zero()
@@ -320,21 +311,15 @@ class MajidStructure:
 
     def reassociator(self, x: Element, y: Element, z: Element) -> Scalar:
         """Trilinear extension of Phi; zero off the degree-(0,0,0) part."""
-        total = self.ctx.zero()
-        for p, a in x.terms.items():
-            if not p.is_vertex():
-                continue
-            for q, b in y.terms.items():
-                if not q.is_vertex():
-                    continue
-                for r, c in z.terms.items():
-                    if r.is_vertex():
-                        total = total + a * b * c * self.phi(p.source, q.source, r.source)
-        return total
+        return self._trilinear(self.phi, x, y, z)
 
     def reassociator_inverse(self, x: Element, y: Element, z: Element) -> Scalar:
         """Convolution inverse of the extended reassociator (pointwise on
         vertex triples, zero elsewhere)."""
+        return self._trilinear(lambda a, b, c: self.phi(a, b, c).inverse(), x, y, z)
+
+    def _trilinear(self, f, x: Element, y: Element, z: Element) -> Scalar:
+        """Trilinear extension of f on vertex triples, zero elsewhere."""
         total = self.ctx.zero()
         for p, a in x.terms.items():
             if not p.is_vertex():
@@ -344,7 +329,7 @@ class MajidStructure:
                     continue
                 for r, c in z.terms.items():
                     if r.is_vertex():
-                        total = total + a * b * c * self.phi(p.source, q.source, r.source).inverse()
+                        total = total + a * b * c * f(p.source, q.source, r.source)
         return total
 
     # -- multiplication -------------------------------------------------------
@@ -536,19 +521,11 @@ def verify_majid_axioms(structure: MajidStructure, cap: int | None = None) -> Ve
             count += 1
             prod = S.multiply_paths(p, q)
             lhs = comultiply_element(quiver, prod)
-            rhs_terms: dict[tuple, Scalar] = {}
-            for p1, p2 in splits[p]:
-                for q1, q2 in splits[q]:
-                    left = S.multiply_paths(p1, q1)
-                    right = S.multiply_paths(p2, q2)
-                    for lp_, lc in left.terms.items():
-                        for rp_, rc in right.terms.items():
-                            keyt = (lp_, rp_)
-                            add = lc * rc
-                            rhs_terms[keyt] = (
-                                rhs_terms[keyt] + add if keyt in rhs_terms else add
-                            )
-            rhs = TensorElement(ctx, 2, rhs_terms)
+            rhs = tensor_of_pairs(ctx, (
+                (S.multiply_paths(p1, q1), S.multiply_paths(p2, q2))
+                for p1, p2 in splits[p]
+                for q1, q2 in splits[q]
+            ))
             if lhs != rhs:
                 report.add("multiplication_comultiplicative", (p, q))
             if counit(prod) != counit(Element.of_path(ctx, p)) * counit(
@@ -582,17 +559,15 @@ def verify_majid_axioms(structure: MajidStructure, cap: int | None = None) -> Ve
         lhs_a = Element.zero(ctx)
         lhs_b = Element.zero(ctx)
         for t1, t2, t3 in path_splits(quiver, p, 3):
-            av = S.alpha_of_path(t2)
-            if not av.is_zero():
-                lhs_a = lhs_a + S.multiply(
-                    S.antipode_path(t1), Element.of_path(ctx, t3)
-                ).scale(av)
+            # alpha is the counit: 1 on vertices, 0 on longer paths
+            if t2.is_vertex():
+                lhs_a = lhs_a + S.multiply(S.antipode_path(t1), Element.of_path(ctx, t3))
             bv = S.beta_of_path(t2)
             if not bv.is_zero():
                 lhs_b = lhs_b + S.multiply(
                     Element.of_path(ctx, t1), S.antipode_path(t3)
                 ).scale(bv)
-        if lhs_a != unit.scale(S.alpha(x)):
+        if lhs_a != unit.scale(counit(x)):
             report.add("antipode_alpha_law", (p,))
         if lhs_b != unit.scale(S.beta(x)):
             report.add("antipode_beta_law", (p,))
@@ -605,17 +580,15 @@ def verify_majid_axioms(structure: MajidStructure, cap: int | None = None) -> Ve
         total_inv = ctx.zero()
         for t1, t2, t3, t4, t5 in path_splits(quiver, p, 5):
             bv = S.beta_of_path(t2)
-            av = S.alpha_of_path(t4)
-            if not bv.is_zero() and not av.is_zero():
-                total_fwd = total_fwd + bv * av * S.reassociator(
+            if t4.is_vertex() and not bv.is_zero():
+                total_fwd = total_fwd + bv * S.reassociator(
                     Element.of_path(ctx, t1),
                     S.antipode_path(t3),
                     Element.of_path(ctx, t5),
                 )
-            av2 = S.alpha_of_path(t2)
             bv2 = S.beta_of_path(t4)
-            if not av2.is_zero() and not bv2.is_zero():
-                total_inv = total_inv + av2 * bv2 * S.reassociator_inverse(
+            if t2.is_vertex() and not bv2.is_zero():
+                total_inv = total_inv + bv2 * S.reassociator_inverse(
                     S.antipode_path(t1),
                     Element.of_path(ctx, t3),
                     S.antipode_path(t5),
@@ -632,16 +605,10 @@ def verify_majid_axioms(structure: MajidStructure, cap: int | None = None) -> Ve
     for p in basis:
         sp = S.antipode_path(p)
         lhs = comultiply_element(quiver, sp)
-        rhs_terms: dict[tuple, Scalar] = {}
-        for p1, p2 in splits[p]:
-            left = S.antipode_path(p2)
-            right = S.antipode_path(p1)
-            for lp_, lc in left.terms.items():
-                for rp_, rc in right.terms.items():
-                    keyt = (lp_, rp_)
-                    add = lc * rc
-                    rhs_terms[keyt] = rhs_terms[keyt] + add if keyt in rhs_terms else add
-        if lhs != TensorElement(ctx, 2, rhs_terms):
+        rhs = tensor_of_pairs(
+            ctx, ((S.antipode_path(p2), S.antipode_path(p1)) for p1, p2 in splits[p])
+        )
+        if lhs != rhs:
             report.add("antipode_antimorphism", (p,))
         if counit(sp) != counit(Element.of_path(ctx, p)):
             report.add("antipode_counital", (p,))

@@ -20,10 +20,6 @@ from .cyclotomic import FieldContext, Scalar
 from .quiver import HopfQuiver, Path
 
 
-def path_sort_key(p: Path):
-    return p.sort_key()
-
-
 class Element:
     """A finitely supported scalar combination of paths (no zero terms)."""
 
@@ -55,7 +51,7 @@ class Element:
         return not self.terms
 
     def support(self) -> list[Path]:
-        return sorted(self.terms, key=path_sort_key)
+        return sorted(self.terms, key=Path.sort_key)
 
     def coeff(self, path: Path) -> Scalar:
         return self.terms.get(path, self.ctx.zero())
@@ -244,6 +240,18 @@ def comultiply_element(quiver: HopfQuiver, x: Element) -> TensorElement:
         for pair in path_splits(quiver, p):
             out[pair] = out[pair] + c if pair in out else c
     return TensorElement(x.ctx, 2, out)
+
+
+def tensor_of_pairs(ctx: FieldContext, pairs: Iterable[tuple[Element, Element]]) -> TensorElement:
+    """The sum of x (x) y over the (x, y) in `pairs`."""
+    out: dict[tuple, Scalar] = {}
+    for x, y in pairs:
+        for xp, xc in x.terms.items():
+            for yp, yc in y.terms.items():
+                key = (xp, yp)
+                c = xc * yc
+                out[key] = out[key] + c if key in out else c
+    return TensorElement(ctx, 2, out)
 
 
 def counit(x: Element) -> Scalar:

@@ -151,8 +151,11 @@ def _parse_cocycle(ctx: FieldContext, group: FiniteGroup, data) -> Cocycle3:
         )
         try:
             return cocycle_from_table(group, ctx, values)
-        except ZeroCocycleValue:
-            raise
+        except ZeroCocycleValue as exc:
+            a, b, c = exc.triple
+            raise SpecError(
+                f"cocycle.values[{a}][{b}][{c}] is zero; Phi takes values in k*"
+            ) from exc
         except Exception as exc:
             raise SpecError(f"malformed cocycle table: {exc}") from exc
     if kind == "cyclic_standard":

@@ -76,6 +76,11 @@ class HopfQuiver:
     def arrow(self, index: int) -> Arrow:
         return self.arrows[index]
 
+    def has_arrow(self, index) -> bool:
+        """Is `index` an arrow index?  `type(x) is int` rejects bool, which
+        JSON true/false parse to."""
+        return type(index) is int and 0 <= index < len(self.arrows)
+
     def vertex_path(self, v: int) -> Path:
         return Path(v, (), v)
 
@@ -98,7 +103,7 @@ class HopfQuiver:
             raise ValueError(f"no vertex {source!r}")
         p = self.vertex_path(source)
         for idx in arrow_indices:
-            if type(idx) is not int or not 0 <= idx < len(self.arrows):
+            if not self.has_arrow(idx):
                 raise ValueError(f"no arrow {idx!r}")
             p = self.extend(p, idx)
         return p

@@ -7,21 +7,25 @@ principal block onto any other block, and the whole algebra is recovered from
 the principal block as a crossed product with the coset space, twisted by a
 2-cocycle sigma into N and a scalar Theta made of eight reassociator values.
 
-The written Theta display admits more than one reading (which factors swap
-source and target, and where sigma multiplies in).  `crossed_product` treats
-the transport identity as the arbiter: it tries the literal reading first and
-falls back to the alternatives, recording which one validated.
+The product of the crossed product is the one formula
+
+    (p (x) u)(q (x) v) = Theta(p, q, u, v) p (u |> q) (x) sigma(u, v) uv-bar,
+
+with u |> q = u (q u^-1) and Theta the eight-factor ratio of `theta`.
+`crossed_product` evaluates it on every basis pair up to the cap and checks
+that p (x) u -> p u transports it to the product of H; the first pair that
+fails is raised as the witness of `IsoCheckFailed`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cyclotomic import Scalar
 from .errors import IsoCheckFailed, NotSingleVertex
 from .groups import subgroup_generated
 from .majid import MajidStructure
-from .pathcoalg import Element, TensorElement, comultiply_element, path_splits
+from .pathcoalg import Element, TensorElement, comultiply_element, path_splits, tensor_of_pairs
 from .quiver import Path, connected_components
 from .report import VerificationReport
 
@@ -188,21 +192,13 @@ def verify_translations(structure: MajidStructure, cap: int | None = None) -> Ve
                     )
             report.tally("translation_bijective", 1)
             # coalgebra morphism: Delta(p g) = sum p1 g (x) p2 g
-            for p in sources:
-                img = translate(S, p, g)
+            for p, img in zip(sources, images):
                 lhs = comultiply_element(quiver, img)
-                rhs_terms: dict[tuple, Scalar] = {}
-                for p1, p2 in path_splits(quiver, p):
-                    left = translate(S, p1, g)
-                    right = translate(S, p2, g)
-                    for lp, lc in left.terms.items():
-                        for rp, rc in right.terms.items():
-                            keyt = (lp, rp)
-                            add = lc * rc
-                            rhs_terms[keyt] = (
-                                rhs_terms[keyt] + add if keyt in rhs_terms else add
-                            )
-                if lhs != TensorElement(S.ctx, 2, rhs_terms):
+                rhs = tensor_of_pairs(S.ctx, (
+                    (translate(S, p1, g), translate(S, p2, g))
+                    for p1, p2 in path_splits(quiver, p)
+                ))
+                if lhs != rhs:
                     report.add("translation_comultiplicative", (g, p))
             report.tally("translation_comultiplicative", len(sources))
     return report
@@ -244,26 +240,17 @@ def block_product_check(structure: MajidStructure, cap: int | None = None) -> Ve
 # the crossed product
 
 
-def theta(
-    structure: MajidStructure,
-    p: Path,
-    q: Path,
-    u: int,
-    v: int,
-    swap_third: bool = True,
-) -> Scalar:
+def theta(structure: MajidStructure, p: Path, q: Path, u: int, v: int) -> Scalar:
     """The eight-factor reassociator ratio Theta(p, q, u, v).
 
     With s/t the source/target vertices of the principal-block paths p and q,
-    the literal reading (swap_third=True) is
 
         Phi(s(p), u, s(q)v) Phi(s(q), u^-1, uv) Phi(u, t(q)u^-1, uv) Phi(t(p), t(q), uv)
         -----------------------------------------------------------------------------
         Phi(t(p), u, t(q)v) Phi(t(q), u^-1, uv) Phi(u, s(q)u^-1, uv) Phi(s(p), s(q), uv)
 
     i.e. numerator and denominator differ by swapping s and t everywhere,
-    including inside the conjugated argument of the third factor.  The
-    alternative reading (swap_third=False) keeps t(q)u^-1 in both.
+    including inside the conjugated argument of the third factor.
     """
     g = structure.group
     phi = structure.phi
@@ -271,29 +258,19 @@ def theta(
     sq, tq = q.source, q.target
     uinv = g.inv(u)
     uv = g.mul(u, v)
-    third_num = g.mul(tq, uinv)
-    third_den = g.mul(sq, uinv) if swap_third else third_num
     num = (
         phi(sp, u, g.mul(sq, v))
         * phi(sq, uinv, uv)
-        * phi(u, third_num, uv)
+        * phi(u, g.mul(tq, uinv), uv)
         * phi(tp, tq, uv)
     )
     den = (
         phi(tp, u, g.mul(tq, v))
         * phi(tq, uinv, uv)
-        * phi(u, third_den, uv)
+        * phi(u, g.mul(sq, uinv), uv)
         * phi(sp, sq, uv)
     )
     return num / den
-
-
-_READINGS = (
-    ("literal", True, "vertex_product"),
-    ("sigma_in_block", True, "sigma_then_rep"),
-    ("literal_third_unswapped", False, "vertex_product"),
-    ("sigma_in_block_third_unswapped", False, "sigma_then_rep"),
-)
 
 
 @dataclass
@@ -301,31 +278,14 @@ class CrossedProduct:
     """The crossed product of the principal block with the coset space.
 
     `sigma` is the 2-cocycle u,v -> u v (uv-bar)^-1 into N attached to the
-    minimal-index transversal; `reading` records which interpretation of the
-    product formula the transport check validated.
+    minimal-index transversal.
     """
 
     structure: MajidStructure
     decomposition: BlockDecomposition
     coset_reps: tuple[int, ...]
     sigma: dict[tuple[int, int], int]
-    reading: str
-    swap_third: bool
-    sigma_slot: str
     iso_report: VerificationReport
-    _cache: dict = field(default_factory=dict)
-
-    def product(
-        self, p: Path, u: int, q: Path, v: int
-    ) -> tuple[Element, int, Scalar]:
-        """Product of (p (x) u) and (q (x) v): a principal-block element, the
-        representative of the combined coset, and the Theta scalar used."""
-        key = (p, u, q, v)
-        if key not in self._cache:
-            self._cache[key] = _crossed_term(
-                self.structure, self.decomposition, p, u, q, v, self.swap_third
-            )
-        return self._cache[key]
 
     def to_json(self):
         g = self.structure.group
@@ -349,16 +309,15 @@ class CrossedProduct:
                                 "q": q.to_json(),
                                 "u": u,
                                 "v": v,
-                                "theta": theta(
-                                    self.structure, p, q, u, v, self.swap_third
-                                ).to_json(),
+                                "theta": theta(self.structure, p, q, u, v).to_json(),
                             }
                         )
         return {
             "normal_subgroup": list(self.decomposition.normal_subgroup),
             "coset_reps": list(self.coset_reps),
             "sigma": sig,
-            "reading": self.reading,
+            # the name of the one formula; kept so the report layout is stable
+            "reading": "literal",
             "theta_samples": samples,
             "iso_check": self.iso_report.to_json(),
             "group_order": g.order,
@@ -373,38 +332,20 @@ def _conjugate(structure: MajidStructure, u: int, q: Path) -> Element:
     return S.multiply(S.vertex(u), qu)
 
 
-def _crossed_term(structure, dec, p, u, q, v, swap_third):
+def _transport_rhs(structure: MajidStructure, p: Path, u: int, q: Path, v: int) -> Element:
+    """Image in H of (p (x) u)(q (x) v) under p (x) u -> p u; the second slot
+    sigma(u, v) uv-bar is the single group element uv."""
     S = structure
-    g = S.group
-    th = theta(S, p, q, u, v, swap_third)
     core = S.multiply(Element.of_path(S.ctx, p), _conjugate(S, u, q))
-    uv = g.mul(u, v)
-    wbar = dec.rep_of_vertex[uv]
-    return core, wbar, th
-
-
-def _transport_rhs(structure, dec, sigma, p, u, q, v, swap_third, sigma_slot) -> Element:
-    """Image in H of the crossed-product product, under p (x) u -> p u."""
-    S = structure
-    g = S.group
-    core, wbar, th = _crossed_term(structure, dec, p, u, q, v, swap_third)
-    if sigma_slot == "vertex_product":
-        # second slot sigma(u,v) wbar read as the single group element u v
-        out = S.multiply(core, S.vertex(g.mul(u, v)))
-    else:
-        # sigma multiplies into the principal block first, then translate
-        sig = sigma[(u, v)]
-        out = S.multiply(S.multiply(core, S.vertex(sig)), S.vertex(wbar))
-    return out.scale(th)
+    return S.multiply(core, S.vertex(S.group.mul(u, v))).scale(theta(S, p, q, u, v))
 
 
 def crossed_product(structure: MajidStructure, cap: int | None = None) -> CrossedProduct:
     """Build the crossed product and verify the multiplicative transport of
     the isomorphism p u -> p (x) u on all basis pairs of total degree <= cap.
 
-    Raises IsoCheckFailed when no reading of the product formula transports
-    correctly (which would indicate an implementation defect, not a failure
-    of the theory).
+    Raises IsoCheckFailed with the first pair that does not transport (which
+    would indicate an implementation defect, not a failure of the theory).
     """
     S = structure
     cap = S.degree_cap if cap is None else min(cap, S.degree_cap)
@@ -430,29 +371,13 @@ def crossed_product(structure: MajidStructure, cap: int | None = None) -> Crosse
         for u in reps
         for v in reps
     ]
-
-    attempts = []
-    for reading, swap_third, sigma_slot in _READINGS:
-        report = VerificationReport()
-        failed = None
-        for p, u, q, v in pairs:
-            lhs = S.multiply(
-                translate(S, p, u), translate(S, q, v)
-            )
-            rhs = _transport_rhs(S, dec, sigma, p, u, q, v, swap_third, sigma_slot)
-            if lhs != rhs:
-                failed = (p, u, q, v)
-                report.add("crossed_product_transport", failed)
-                break
-        report.tally("crossed_product_transport", len(pairs))
-        if failed is None:
-            for prior_reading, prior_witness in attempts:
-                report.tally(f"rejected_reading_{prior_reading}", 1)
-            return CrossedProduct(
-                S, dec, reps, sigma, reading, swap_third, sigma_slot, report
-            )
-        attempts.append((reading, failed))
-    raise IsoCheckFailed(attempts[0][1])
+    for p, u, q, v in pairs:
+        lhs = S.multiply(translate(S, p, u), translate(S, q, v))
+        if lhs != _transport_rhs(S, p, u, q, v):
+            raise IsoCheckFailed((p, u, q, v))
+    report = VerificationReport()
+    report.tally("crossed_product_transport", len(pairs))
+    return CrossedProduct(S, dec, reps, sigma, report)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ the componentwise comultiplication of a tensor of paths, its iteration on
 the rightmost block, and the graded product M_n = M_1^(x n) o Delta_2^(n-1)
 read off that iteration; and Q(zeta_m) arithmetic on tuples of Fraction
 coordinates, which `src` does on integer numerators over one denominator.
+
+`theta_third_unswapped` is a negative oracle: a misreading of the Theta
+display that the crossed-product transport check must reject.
 """
 
 from fractions import Fraction
@@ -79,6 +82,19 @@ def product_by_expansion(S, p, q):
         for path, coeff in S._assemble(legs).items():
             acc[path] = acc[path] + c * coeff if path in acc else c * coeff
     return Element(S.ctx, acc)
+
+
+def theta_third_unswapped(S, p, q, u, v):
+    """Theta with t(q)u^-1 in the third factor of both numerator and
+    denominator, where the formula swaps it to s(q)u^-1 in the denominator."""
+    g, phi = S.group, S.phi
+    ui, uv = g.inv(u), g.mul(u, v)
+    third = g.mul(q.target, ui)
+    num = (phi(p.source, u, g.mul(q.source, v)) * phi(q.source, ui, uv)
+           * phi(u, third, uv) * phi(p.target, q.target, uv))
+    den = (phi(p.target, u, g.mul(q.target, v)) * phi(q.target, ui, uv)
+           * phi(u, third, uv) * phi(p.source, q.source, uv))
+    return num / den
 
 
 # -- Q(zeta_m) on Fraction coordinates ------------------------------------

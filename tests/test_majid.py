@@ -263,15 +263,16 @@ def test_antipode_graded():
 def test_alpha_beta_values():
     S = make_flagship_structure()
     g = S.group
+    # alpha is the counit
     for v in g.elements():
-        assert S.alpha(S.vertex(v)).is_one()
+        assert counit(S.vertex(v)).is_one()
         expected = S.phi(v, g.inv(v), v).inverse()
         assert S.beta(S.vertex(v)) == expected
-        assert not (S.alpha(S.vertex(v)) * S.beta(S.vertex(v))).is_zero()
+        assert not (counit(S.vertex(v)) * S.beta(S.vertex(v))).is_zero()
     assert S.beta(S.vertex(1)) == S.ctx.scalar(-1)
     # alpha and beta vanish on positive-degree paths
     a = S.arrow(0)
-    assert S.alpha(a).is_zero() and S.beta(a).is_zero()
+    assert counit(a).is_zero() and S.beta(a).is_zero()
 
 
 # -- the full axiom suite ---------------------------------------------------------

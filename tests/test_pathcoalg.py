@@ -5,6 +5,7 @@ against the oracle in `oracles.py`, which expands Delta of each component and
 interleaves directly, and against the leftmost iteration of `comultiply`.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,15 @@ from hopfquiver import (
     paths_up_to,
     symmetric_group,
 )
-from hopfquiver.pathcoalg import element_from_json, path_splits
+from hopfquiver.pathcoalg import (
+    comultiply_element,
+    element_from_json,
+    path_splits,
+    tensor_of_pairs,
+)
+from hopfquiver.problem import load_problem
 
+from conftest import SPECS_DIR
 from oracles import oracle_tensor_comultiply, rightmost_iteration
 
 
@@ -227,3 +235,22 @@ def test_tensor_swap():
     a, g0 = q.arrow_path(0), q.vertex_path(0)
     t = TensorElement.of(ctx, (a, g0))
     assert t.swap() == TensorElement.of(ctx, (g0, a))
+
+
+@pytest.mark.parametrize("spec", ["z4_two_blocks_standard_cocycle", "one_vertex_2_loop"])
+def test_tensor_of_pairs_is_comultiplication(spec):
+    """Summing x (x) y over the splits (p1, p2) of p rebuilds Delta(p), with
+    the coefficient carried on the first leg; the reversed pairs give the
+    swapped tensor."""
+    problem = load_problem(SPECS_DIR / f"{spec}.json")
+    ctx, quiver = problem.ctx, problem.quiver
+    c = ctx.scalar(3) + ctx.zeta
+    for degree in paths_up_to(quiver, problem.degree_cap):
+        for p in degree:
+            splits = [
+                (Element.of_path(ctx, p1, c), Element.of_path(ctx, p2))
+                for p1, p2 in path_splits(quiver, p)
+            ]
+            delta = comultiply_element(quiver, Element.of_path(ctx, p, c))
+            assert tensor_of_pairs(ctx, splits) == delta
+            assert tensor_of_pairs(ctx, ((y, x) for x, y in splits)) == delta.swap()

@@ -167,6 +167,11 @@ def test_cli_boolean_coefficient_exits_2(tmp_path, capsys, where):
         assert "True is not a rational number" in capsys.readouterr().err
 
 
+def test_cli_zero_cocycle_entry_exits_2(tmp_path, capsys):
+    assert _exit_code_with_coeff(tmp_path, "cocycle", "0") == 2
+    assert "cocycle.values[1][1][1] is zero" in capsys.readouterr().err
+
+
 def _exit_code_of(tmp_path, data):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data))
@@ -195,8 +200,13 @@ def test_cli_out_of_range_action_key_exits_2(tmp_path, capsys, entry, named):
         ({"arrow": -1, "coeff": "-1"}, "no arrow -1"),
         ({"source": 0, "arrows": [5], "coeff": "1"}, "no arrow 5"),
         ({"source": 9, "arrows": [], "coeff": "1"}, "no vertex 9"),
+        ({"arrow": 99, "coeff": "1"}, "no arrow 99"),
+        ({"arrow": "0", "coeff": "1"}, "no arrow '0'"),
     ],
-    ids=["negative_arrow", "arrow_outside_quiver", "vertex_outside_group"],
+    ids=[
+        "negative_arrow", "arrow_outside_quiver", "vertex_outside_group",
+        "short_form_arrow_outside_quiver", "short_form_string_arrow",
+    ],
 )
 def test_cli_out_of_range_action_value_exits_2(tmp_path, capsys, term, named):
     data = base_spec()

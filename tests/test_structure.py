@@ -1,7 +1,8 @@
 """Block decomposition, translation maps, crossed product, primitives.
 
 theta is double-checked against a second, independently written transcription
-of the eight-factor formula.
+of the eight-factor formula, and the crossed-product transport check must
+reject the misread Theta of `oracles.theta_third_unswapped`.
 """
 
 import itertools
@@ -17,9 +18,13 @@ from hopfquiver import (
     hopf_quiver,
     trivial_cocycle,
 )
-from hopfquiver.errors import NotSingleVertex
+from hopfquiver import structure
+from hopfquiver.errors import IsoCheckFailed, NotSingleVertex
 from hopfquiver.majid import MajidStructure
+from hopfquiver.problem import load_problem
 from hopfquiver.structure import (
+    _conjugate,
+    _transport_rhs,
     block_product_check,
     blocks,
     cocommutative_check,
@@ -32,11 +37,13 @@ from hopfquiver.structure import (
 )
 
 from conftest import (
+    SPECS_DIR,
     make_loop_structure,
     make_s3_loops_structure,
     make_taft_structure,
     make_z4_blocks_structure,
 )
+from oracles import theta_third_unswapped
 
 
 # -- exact linear algebra -------------------------------------------------------
@@ -214,7 +221,19 @@ def test_crossed_product_transport():
         S = make_z4_blocks_structure(nontrivial)
         cp = crossed_product(S)
         assert cp.iso_report.ok, cp.iso_report.summary()
-        assert cp.reading == "literal"
+        assert cp.to_json()["reading"] == "literal"
+
+
+def test_crossed_product_rejects_unswapped_theta(monkeypatch):
+    """The transport check separates the readings of the Theta display: with
+    the third factor left unswapped it fails, and the witness is raised."""
+    S = load_problem(SPECS_DIR / "z4_two_blocks_standard_cocycle.json").structure()
+    assert crossed_product(S).iso_report.ok
+    monkeypatch.setattr(structure, "theta", theta_third_unswapped)
+    with pytest.raises(IsoCheckFailed) as info:
+        crossed_product(S)
+    p, u, q, v = info.value.witness
+    assert theta_third_unswapped(S, p, q, u, v) != theta(S, p, q, u, v)
 
 
 def test_nonabelian_blocks_and_crossed_product():
@@ -237,10 +256,13 @@ def test_crossed_product_product_entries():
     cp = crossed_product(S)
     dec = cp.decomposition
     e = S.quiver.vertex_path(0)
-    core, rep, th = cp.product(e, 1, e, 1)
-    assert rep == dec.rep_of_vertex[S.group.mul(1, 1)] == 0
-    assert th.is_one()
-    assert core == S.vertex(S.group.mul(1, S.group.mul(e.source, S.group.inv(1))))
+    g = S.group
+    assert dec.rep_of_vertex[g.mul(1, 1)] == 0
+    assert theta(S, e, e, 1, 1).is_one()
+    core = _conjugate(S, 1, e)
+    assert core == S.vertex(g.mul(1, g.mul(e.source, g.inv(1))))
+    # (e (x) 1)(e (x) 1) = Theta e (1 |> e) (x) sigma(1, 1) 1-bar, read in H
+    assert _transport_rhs(S, e, 1, e, 1) == S.multiply(core, S.vertex(g.mul(1, 1)))
 
 
 # -- primitives and cocommutativity -------------------------------------------------
