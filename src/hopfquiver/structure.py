@@ -244,6 +244,7 @@ def theta(structure: MajidStructure, p: Path, q: Path, u: int, v: int) -> Scalar
     """The eight-factor reassociator ratio Theta(p, q, u, v).
 
     With s/t the source/target vertices of the principal-block paths p and q,
+    it is
 
         Phi(s(p), u, s(q)v) Phi(s(q), u^-1, uv) Phi(u, t(q)u^-1, uv) Phi(t(p), t(q), uv)
         -----------------------------------------------------------------------------
