@@ -19,7 +19,7 @@ from .groups import (
     verify_cocycle,
 )
 from .majid import BimoduleAction, MajidStructure, verify_bimodule, verify_majid_axioms
-from .pathcoalg import Element, TensorElement, comultiply, counit
+from .pathcoalg import Element, TensorElement, counit
 from .quiver import (
     AbstractQuiver,
     HopfQuiver,
@@ -47,7 +47,6 @@ __all__ = [
     "VerificationReport",
     "build_group",
     "cocycle_from_table",
-    "comultiply",
     "connected_components",
     "counit",
     "cyclic_group",

@@ -217,8 +217,6 @@ def _text_summary(results: dict) -> str:
                     lines.append(f"      {v['check']} at {v['witness']}")
         if "text" in res:
             lines.append(f"    result: {res['text']}")
-        if "reading" in res:
-            lines.append(f"    crossed-product reading: {res['reading']}")
         if "error" in res:
             lines.append(f"    error: {res['error']}")
     lines.append("overall: " + ("PASS" if results["ok"] else "FAIL"))

