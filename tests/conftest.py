@@ -23,8 +23,16 @@ from hopfquiver.actions import (
     trivial_loop_action,
 )
 from hopfquiver.majid import BimoduleAction, MajidStructure
+from hopfquiver.problem import load_problem
 
 SPECS_DIR = Path(__file__).resolve().parents[1] / "specs"
+
+
+def structure_at(spec_path, cap: int) -> MajidStructure:
+    """The structure of a problem file with its degree cap replaced."""
+    raw = dict(load_problem(spec_path).raw)
+    raw["degree_cap"] = cap
+    return load_problem(raw).structure()
 
 
 def make_taft_structure(n: int, cap: int = 4, class_rep: int = 1, q_power: int = 1):

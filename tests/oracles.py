@@ -1,11 +1,12 @@
 """Independent formulas that the tests check `src` against.
 
 They are the literal definitions, which `src` computes by shorter routes:
-Delta of one path as a tensor, the componentwise comultiplication of a tensor of paths, its iteration on
-the rightmost block, and the graded product M_n = M_1^(x n) o Delta_2^(n-1)
-read off that iteration; quasi-associativity (2.1) summed over every split
-triple; and Q(zeta_m) arithmetic on tuples of Fraction
-coordinates, which `src` does on integer numerators over one denominator.
+Delta of one path as a tensor, the componentwise comultiplication of a
+tensor of paths, its iteration on the rightmost block, and the graded
+product M_n = M_1^(x n) o Delta_2^(n-1) read off that iteration;
+quasi-associativity (2.1) summed over every split triple; and Q(zeta_m)
+arithmetic on tuples of Fraction coordinates, which `src` does on integer
+numerators over one denominator.
 
 `theta_third_unswapped` is a negative oracle: a misreading of the Theta
 display that the crossed-product transport check must reject.

@@ -31,6 +31,7 @@ from conftest import (
     make_s3_loops_structure,
     make_taft_structure,
     make_z4_blocks_structure,
+    structure_at,
 )
 from oracles import quasi_associativity_by_all_splits
 
@@ -388,14 +389,6 @@ def _combine(S, entries):
     return x
 
 
-def _spec_structure(name, cap):
-    from hopfquiver.problem import load_problem
-
-    raw = dict(load_problem(SPECS_DIR / f"{name}.json").raw)
-    raw["degree_cap"] = cap
-    return load_problem(raw).structure()
-
-
 def _assert_quasi_associativity_matches_oracle(S, cap):
     rep = verify_majid_axioms(S, cap)
     got = [v.witness for v in rep.violations if v.check == "quasi_associativity"]
@@ -407,12 +400,12 @@ def _assert_quasi_associativity_matches_oracle(S, cap):
 
 @pytest.mark.parametrize("name", ["one_vertex_2_loop", "z4_two_blocks_standard_cocycle"])
 def test_quasi_associativity_matches_all_splits_oracle(name):
-    S = _spec_structure(name, 4)
+    S = structure_at(SPECS_DIR / f"{name}.json", 4)
     assert _assert_quasi_associativity_matches_oracle(S, 4) == []
 
 
 def test_quasi_associativity_matches_all_splits_oracle_on_doubled_entries():
-    S = _spec_structure("z4_two_blocks_standard_cocycle", 3)
+    S = structure_at(SPECS_DIR / "z4_two_blocks_standard_cocycle.json", 3)
     two = S.ctx.scalar(2)
     flagged = 0
     for side, key, value in S.action.entries():

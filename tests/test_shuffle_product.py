@@ -9,18 +9,11 @@ import pytest
 
 from hopfquiver import Element
 from hopfquiver.majid import MajidStructure
-from hopfquiver.problem import load_problem
 
-from conftest import SPECS_DIR
+from conftest import SPECS_DIR, structure_at
 from oracles import product_by_expansion
 
 SPECS = sorted(SPECS_DIR.glob("*.json"))
-
-
-def structure_at(spec_path, cap):
-    raw = dict(load_problem(spec_path).raw)
-    raw["degree_cap"] = cap
-    return load_problem(raw).structure()
 
 
 def assert_products_match(S, cap):
