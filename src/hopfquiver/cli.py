@@ -90,7 +90,7 @@ def _run_verify(spec: ProblemSpec, structure: MajidStructure) -> dict:
     bimodule_rep = verify_bimodule(spec.group, spec.cocycle, spec.action)
     out["bimodule"] = bimodule_rep.to_json()
     if cocycle_rep.ok and bimodule_rep.ok:
-        axiom_rep = verify_majid_axioms(structure)
+        axiom_rep = verify_majid_axioms(structure, cocycle_report=cocycle_rep)
         out["axioms"] = axiom_rep.to_json()
         out["ok"] = axiom_rep.ok
     else:

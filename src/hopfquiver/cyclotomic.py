@@ -14,6 +14,10 @@ products of long chains of cocycle values never overflow or lose precision.
 Inverses are integer too, through the field norm (Cohen, 4.3): with c the
 product of the Galois conjugates sigma_k(x), sigma_k: z -> z^k, over the
 units k != 1 mod m, N(x) = x * c is a rational integer and x^-1 = c / N(x).
+
+Most scalars met are exactly 1.  Canonical form gives 1 the one representation
+(1, 0, ..., 0)/1, so `is_one` is a tuple comparison, and a unit factor or the
+inverse of 1 returns an operand unchanged: exact, and the operand is canonical.
 """
 
 from __future__ import annotations
@@ -203,8 +207,7 @@ class Scalar:
         return not any(self.num)
 
     def is_one(self) -> bool:
-        num = self.num
-        return self.den == 1 and num[0] == 1 and not any(num[1:])
+        return self.den == 1 and self.num == self.ctx._one.num
 
     def __bool__(self):
         return not self.is_zero()
@@ -257,8 +260,13 @@ class Scalar:
         return Scalar(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
+        """The product; a unit factor (tested after `_coerce`) returns the other."""
         other = self._coerce(other)
         ctx = self.ctx
+        if self.den == 1 and self.num == ctx._one.num:
+            return other
+        if other.den == 1 and other.num == ctx._one.num:
+            return self
         return _canonical(ctx, ctx._mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
@@ -266,12 +274,15 @@ class Scalar:
     def inverse(self) -> "Scalar":
         """Multiplicative inverse through the field norm: with c the product
         of the conjugates sigma_k(num) over the units k != 1 mod m, the norm
-        N = num * c is a rational integer and (num/den)^-1 = den * c / N."""
+        N = num * c is a rational integer and (num/den)^-1 = den * c / N.
+        The unit is returned unchanged, so division by 1 is free."""
         if self.is_zero():
             raise FieldDivisionError("inverse of zero")
         ctx = self.ctx
         num = self.num
         c = ctx._one.num
+        if self.den == 1 and num == c:
+            return self
         for targets in ctx._conjugators:
             moved = [0] * ctx.order
             for t, a in zip(targets, num):

@@ -460,13 +460,15 @@ def _triples_up_to(structure: MajidStructure, cap: int):
                     yield p, q, r
 
 
-def verify_majid_axioms(structure: MajidStructure, cap: int | None = None) -> VerificationReport:
+def verify_majid_axioms(structure: MajidStructure, cap: int | None = None,
+                        cocycle_report: VerificationReport | None = None) -> VerificationReport:
     """Check every Majid-algebra axiom on basis paths of total degree <= cap.
 
     Both sides of each axiom are evaluated literally with the extended
     reassociator and functionals; no hand simplification is trusted.  The
     degree truncation means this is verification up to the cap, not a proof
-    for the full infinite-dimensional algebra.
+    for the full infinite-dimensional algebra.  A caller that has run
+    `verify_cocycle` on the structure's Phi passes that `cocycle_report` for (2.3).
     """
     S = structure
     cap = S.degree_cap if cap is None else min(cap, S.degree_cap)
@@ -541,7 +543,9 @@ def verify_majid_axioms(structure: MajidStructure, cap: int | None = None) -> Ve
     # (2.3) cocycle identity on group-likes (the reassociator restriction)
     from .groups import verify_cocycle
 
-    report.merge(verify_cocycle(group, S.phi), prefix="reassociator_")
+    if cocycle_report is None:
+        cocycle_report = verify_cocycle(group, S.phi)
+    report.merge(cocycle_report, prefix="reassociator_")
 
     # (2.4) normalization against the counit
     count = 0

@@ -154,7 +154,7 @@ ORDERS = list(range(1, 13)) + [15, 16, 20]
 def coordinate_lists(m):
     """Coordinate lists up to two longer than phi(m) (so `scalar` reduces
     them): either over one shared denominator, or mixed zeros, integers and
-    fractions of either sign."""
+    fractions of either sign, or the unit [1]."""
     deg = len(cyclotomic_polynomial(m)) - 1
     shared = st.integers(1, 12).flatmap(
         lambda q: st.lists(
@@ -170,7 +170,7 @@ def coordinate_lists(m):
         ),
         min_size=1, max_size=deg + 2,
     )
-    return st.one_of(shared, mixed)
+    return st.one_of(shared, mixed, st.just([Fraction(1)]))
 
 
 def assert_matches(s, oracle):
@@ -245,3 +245,40 @@ def test_inverse_by_norm(m):
             inv = ctx.scalar(v).inverse()
             assert_matches(inv, FractionScalar(m, [Fraction(v)]).inverse())
             assert inv == ctx.scalar(1 / Fraction(v))
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_unit_factor_matches_fraction_oracle(m):
+    """A unit factor returns the other operand: 1*x, x*1, x/1 and 1^-1 agree
+    with the oracle and stay canonical, for 1 built as one(), the int 1 and
+    (m = 3) a coordinate list that reduces to 1.  1/3 has the numerators of 1
+    over another denominator, so it must multiply, on either side, as 1/3."""
+    ctx = field_context(m)
+    rng = random.Random(m)
+    dense = ctx.scalar([
+        Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+        for _ in range(ctx.degree)
+    ])
+    third, THIRD = ctx.scalar("1/3"), FractionScalar(m, [Fraction(1, 3)])
+    xs = [ctx.root_of_unity(k) for k in range(m)] + [dense, third]
+    units = [ctx.one(), ctx.scalar(1)]
+    if m == 3:
+        xs.append(ctx.scalar([2, 1, 1]))
+        units.append(ctx.scalar([2, 1, 1]))
+    one = FractionScalar(m, [1])
+    for u in units:
+        assert u.is_one()
+        assert_matches(u, one)
+        assert_matches(u.inverse(), one)
+        for x in xs:
+            X = FractionScalar(m, _coords(x))
+            assert_matches(u * x, X)
+            assert_matches(x * u, X)
+            assert_matches(x / u, X)
+            assert_matches(x.inverse(), X.inverse())
+            assert_matches(x * third, X * THIRD)
+            assert_matches(third * x, X * THIRD)
+            assert (x * u).is_one() == (X == one)
+    assert not third.is_one()
+    with pytest.raises(ValueError):
+        ctx.one() * field_context(m + 1).one()

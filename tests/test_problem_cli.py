@@ -104,6 +104,31 @@ def test_cli_run_verify_passes(tmp_path, capsys):
     assert (tmp_path / "report.txt").exists()
 
 
+def test_cli_verify_sweeps_the_cocycle_once(tmp_path, monkeypatch):
+    """The verify task hands its cocycle report to the axiom check, which
+    reports it under `reassociator_*` without sweeping Phi again."""
+    import hopfquiver.cli as cli
+    import hopfquiver.groups as groups
+
+    real = groups.verify_cocycle
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groups, "verify_cocycle", counted)
+    monkeypatch.setattr(cli, "verify_cocycle", counted)
+    spec = SPECS_DIR / "z2_nontrivial_cocycle.json"
+    assert run_cli("run", "--spec", str(spec), "--task", "verify", "--out", str(tmp_path)) == 0
+    assert len(calls) == 1
+    verify = json.loads((tmp_path / "report.json").read_text())["tasks"]["verify"]
+    checked = verify["axioms"]["checked"]
+    assert verify["cocycle"]["checked"]
+    for check, n in verify["cocycle"]["checked"].items():
+        assert checked["reassociator_" + check] == n
+
+
 def test_cli_multiply_prints_zero(tmp_path, capsys):
     code = run_cli(
         "run",
