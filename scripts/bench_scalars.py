@@ -6,10 +6,11 @@ of powers of zeta (the values of the standard cyclic cocycles) and
 `rationals` pairs of random coordinate vectors with numerators in [-9, 9]
 and denominators in [1, 6].  Each figure is the median, over REPEATS
 timed runs of LOOPS loops, of the mean time of one `a * b` (or one
-`a.inverse()`, timed over a tenth of the loops) in microseconds.  Only the
-public API is used (`field_context`, `root_of_unity`, `scalar`, `*`,
-`inverse`), so the script times any checkout's `hopfquiver`, and records that
-checkout's git commit.
+`a.inverse()`, timed over a tenth of the loops) in microseconds.  The unit
+rows time `1 * x`, `x * 1` and `x / 1` for the `rationals` operands `x`.
+Only the public API is used (`field_context`, `root_of_unity`, `scalar`,
+`one`, `*`, `/`, `inverse`), so the script times any checkout's `hopfquiver`,
+and records that checkout's git commit.
 
 Run from the repository root:
 
@@ -94,6 +95,10 @@ def run() -> dict:
             row[f"inverse_{kind}_us"] = time_us(
                 lambda a, b: a.inverse(), pairs, LOOPS // 10, REPEATS
             )
+        units = [(field_context(m).one(), x) for x, _ in pairs]
+        row["mul_unit_left_us"] = time_us(lambda u, x: u * x, units, LOOPS, REPEATS)
+        row["mul_unit_right_us"] = time_us(lambda u, x: x * u, units, LOOPS, REPEATS)
+        row["div_unit_us"] = time_us(lambda u, x: x / u, units, LOOPS, REPEATS)
         per_m[str(m)] = row
     return {
         "python": platform.python_version(),
