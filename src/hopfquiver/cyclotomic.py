@@ -15,9 +15,9 @@ Inverses are integer too, through the field norm (Cohen, 4.3): with c the
 product of the Galois conjugates sigma_k(x), sigma_k: z -> z^k, over the
 units k != 1 mod m, N(x) = x * c is a rational integer and x^-1 = c / N(x).
 
-Most scalars met are exactly 1.  Canonical form gives 1 the one representation
-(1, 0, ..., 0)/1, so `is_one` is a tuple comparison, and a unit factor or the
-inverse of 1 returns an operand unchanged: exact, and the operand is canonical.
+Most scalars in practice are exactly 1, and canonical form gives 1 a single
+representation (1, 0, ..., 0)/1: `is_one` is a tuple comparison, and a unit
+factor or the inverse of 1 returns an operand unchanged (exact and canonical).
 """
 
 from __future__ import annotations
