@@ -2,7 +2,8 @@
 """Time Q(zeta_m) scalar multiplication and inversion per field order m.
 
 For each m in ORDERS the operands are fixed by SEED: `roots` are pairs
-of powers of zeta (the values of the standard cyclic cocycles) and
+of powers zeta^k with 1 <= k < m (the values of the standard cyclic
+cocycles; k = 0 would give 1, which the unit rows time) and
 `rationals` pairs of random coordinate vectors with numerators in [-9, 9]
 and denominators in [1, 6].  Each figure is the median, over REPEATS
 timed runs of LOOPS loops, of the mean time of one `a * b` (or one
@@ -45,7 +46,7 @@ def operands(m: int, kind: str, rng: random.Random) -> list:
     ctx = field_context(m)
     if kind == "roots":
         return [
-            (ctx.root_of_unity(rng.randrange(m)), ctx.root_of_unity(rng.randrange(m)))
+            (ctx.root_of_unity(rng.randrange(1, m)), ctx.root_of_unity(rng.randrange(1, m)))
             for _ in range(PAIRS)
         ]
 

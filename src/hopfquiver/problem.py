@@ -121,20 +121,25 @@ def problem_from_dict(data: dict) -> ProblemSpec:
     ram = RamificationData.from_class_reps(group, reps)
     quiver = hopf_quiver(group, ram)
 
+    action_data = data.get("action", {})
+    _require(isinstance(action_data, dict), "action must be an object")
     try:
-        action = action_from_json(ctx, quiver, data.get("action", {}))
+        action = action_from_json(ctx, quiver, action_data)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise SpecError(f"malformed action table: {exc}") from exc
 
     cap = data.get("degree_cap")
     _require(type(cap) is int and cap >= 0, "degree_cap must be a nonnegative integer")
 
-    tasks = tuple(data.get("tasks", ()))
-    _require(tasks, "tasks must be a nonempty list")
+    tasks = data.get("tasks")
+    _require(
+        isinstance(tasks, list) and tasks and all(isinstance(t, str) for t in tasks),
+        "tasks must be a nonempty list of task names",
+    )
     for t in tasks:
         _require(t in KNOWN_TASKS, f"unknown task {t!r} (known: {', '.join(KNOWN_TASKS)})")
 
-    return ProblemSpec(ctx, group, cocycle, ram, quiver, action, cap, tasks, data)
+    return ProblemSpec(ctx, group, cocycle, ram, quiver, action, cap, tuple(tasks), data)
 
 
 def _parse_cocycle(ctx: FieldContext, group: FiniteGroup, data) -> Cocycle3:

@@ -8,7 +8,8 @@ Conventions fixed here and relied on everywhere else:
 * A Path stores its arrows in traversal order (first-traversed first).  In
   the customary written form a_l ... a_1 the traversal order is read right
   to left, so ``Path.arrows[0]`` is the rightmost written arrow.
-* Path identity is structural: (source, arrow index tuple).
+* Paths are interned: one object per (source, arrow index tuple, target)
+  in the process, so path equality is object identity (see `Path`).
 """
 
 from __future__ import annotations
@@ -32,37 +33,37 @@ class Arrow:
 class Path:
     """An immutable path: source vertex, traversed arrow indices, target.
 
-    Paths key every sparse element, so the hash is computed once here rather
-    than on each dict lookup.  A path equals only another path.
+    Paths are interned: constructing a path returns the one object that the
+    process holds for `(source, arrows, target)`, so equal paths are the
+    same object, and equality and hashing are the default identity ones,
+    evaluated in C by every dict and tuple key that holds paths.  The table
+    is process-wide and strong, like `field_context`'s cache: it is bounded
+    by the distinct paths the process builds, and a weak table would make
+    every problem's set-up rebuild the paths the previous one let die.  A
+    miss stores the new object with `dict.setdefault`, which is atomic
+    under the GIL for these int-tuple keys, so two threads that build the
+    same path both get the object that was stored first.
     """
 
-    __slots__ = ("source", "arrows", "target", "_hash")
+    __slots__ = ("source", "arrows", "target")
 
-    def __init__(self, source: int, arrows: tuple[int, ...], target: int):
-        init = object.__setattr__
-        init(self, "source", source)
-        init(self, "arrows", arrows)
-        init(self, "target", target)
-        init(self, "_hash", hash((source, arrows, target)))
+    def __new__(cls, source: int, arrows: tuple[int, ...], target: int):
+        key = (source, arrows, target)
+        path = _PATHS.get(key)
+        if path is None:
+            path = object.__new__(cls)
+            init = object.__setattr__
+            init(path, "source", source)
+            init(path, "arrows", arrows)
+            init(path, "target", target)
+            path = _PATHS.setdefault(key, path)
+        return path
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Path")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an immutable Path")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if other.__class__ is not Path:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.source == other.source
-            and self.arrows == other.arrows
-            and self.target == other.target
-        )
 
     def __repr__(self):
         return f"Path(source={self.source!r}, arrows={self.arrows!r}, target={self.target!r})"
@@ -82,6 +83,9 @@ class Path:
 
     def to_json(self):
         return {"source": self.source, "arrows": list(self.arrows)}
+
+
+_PATHS: dict[tuple, Path] = {}
 
 
 class HopfQuiver:

@@ -246,8 +246,15 @@ def test_cli_out_of_range_action_value_exits_2(tmp_path, capsys, term, named):
         ("class_rep", lambda data: data["ramification"][0].update(class_rep=5)),
         ("degree_cap", lambda data: data.update(degree_cap=True)),
         ("mult", lambda data: data["ramification"][0].update(mult=True)),
+        ("action", lambda data: data.update(action=[])),
+        ("action", lambda data: data.update(action=None)),
+        ("tasks", lambda data: data.update(tasks=5)),
+        ("tasks", lambda data: data.update(tasks="verify")),
     ],
-    ids=["class_rep_outside_group", "boolean_degree_cap", "boolean_mult"],
+    ids=[
+        "class_rep_outside_group", "boolean_degree_cap", "boolean_mult",
+        "action_list", "action_null", "tasks_int", "tasks_string",
+    ],
 )
 def test_cli_bad_integer_field_exits_2(tmp_path, capsys, field, edit):
     data = base_spec()

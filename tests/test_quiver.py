@@ -1,6 +1,8 @@
 """Hopf quiver construction, path enumeration, components, recognition."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,10 @@ from hopfquiver import (
     symmetric_group,
 )
 from hopfquiver.errors import VertexCountMismatch
+from hopfquiver.pathcoalg import element_from_json, path_splits
 from hopfquiver.quiver import quiver_to_json, to_dot
+
+from conftest import make_taft_structure
 
 
 def test_z2_quiver():
@@ -37,7 +42,7 @@ def test_path_value_semantics():
     assert repr(q.vertex_path(1)) == "Path(source=1, arrows=(), target=1)"
     # built two ways: by extension from a vertex, and directly
     direct = Path(0, (0, 1), 0)
-    assert p == direct and p is not direct
+    assert p == direct and p is direct
     assert hash(p) == hash(direct)
     assert {p: 1}[direct] == 1
     assert p != q.path(1, [1, 0]) and p != Path(0, (0, 1), 1)
@@ -49,6 +54,54 @@ def test_path_value_semantics():
     with pytest.raises(AttributeError):
         del p.source
     assert p == direct and hash(p) == hash(direct)
+
+
+def test_every_construction_route_returns_the_interned_path():
+    S = make_taft_structure(2, cap=4)
+    q = S.quiver
+    p = Path(0, (0, 1), 0)
+    assert q.path(0, [0, 1]) is p
+    assert q.extend(q.arrow_path(0), 1) is p
+    assert q.extend(q.extend(q.vertex_path(0), 0), 1) is p
+    assert Path(0, (0,), 1) is q.arrow_path(0)
+    assert Path(1, (), 1) is q.vertex_path(1)
+    built = [piece for parts in path_splits(q, p, 3) for piece in parts]
+    built += S.multiply_paths(q.arrow_path(1), p).terms
+    x = element_from_json(S.ctx, q, [{"source": 0, "arrows": [0, 1], "coeff": "1"}])
+    assert list(x.terms) == [p]
+    for r in built:
+        assert q.path(r.source, list(r.arrows)) is r
+        assert Path(r.source, r.arrows, r.target) is r
+
+
+def test_concurrent_construction_yields_one_object_per_path():
+    """Threads that build the same new paths at once all get one object per
+    path.  Negative sources name no vertex, so no other test builds them."""
+    base = -random.randrange(1 << 20, 1 << 40)
+    keys = [(base - i, tuple(range(i % 5)), base - i) for i in range(5000)]
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def build(slot):
+        barrier.wait(timeout=30)
+        results[slot] = [Path(*k) for k in keys]
+
+    threads = [threading.Thread(target=build, args=(i,), daemon=True) for i in range(n_threads)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    canonical = [Path(*k) for k in keys]
+    for built in results:
+        assert built is not None
+        assert all(a is b for a, b in zip(built, canonical, strict=True))
 
 
 def test_empty_ramification():
