@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time Q(zeta_m) scalar multiplication and inversion per field order m.
+"""Time Q(zeta_m) scalar multiplication and inversion per field order m,
+and the 3-cocycle check per cyclic group order n.
 
 For each m in ORDERS the operands are fixed by SEED: `roots` are pairs
 of powers zeta^k with 1 <= k < m (the values of the standard cyclic
@@ -9,9 +10,14 @@ and denominators in [1, 6].  Each figure is the median, over REPEATS
 timed runs of LOOPS loops, of the mean time of one `a * b` (or one
 `a.inverse()`, timed over a tenth of the loops) in microseconds.  The unit
 rows time `1 * x`, `x * 1` and `x / 1` for the `rationals` operands `x`.
+The cocycle rows time, for each n in COCYCLE_ORDERS, `verify_cocycle` on
+the standard Z_n cocycle over Q(zeta_n), `cocycle_from_table` on the same
+table written to JSON and read back, and `verify_cocycle` on the loaded
+table; each figure is the median over COCYCLE_REPEATS runs, in seconds.
 Only the public API is used (`field_context`, `root_of_unity`, `scalar`,
-`one`, `*`, `/`, `inverse`), so the script times any checkout's `hopfquiver`,
-and records that checkout's git commit.
+`one`, `*`, `/`, `inverse`, `to_json`, `standard_cyclic_cocycle`,
+`cocycle_from_table`, `verify_cocycle`), so the script times any checkout's
+`hopfquiver`, and records that checkout's git commit.
 
 Run from the repository root:
 
@@ -33,13 +39,20 @@ import time
 from pathlib import Path
 
 import hopfquiver
-from hopfquiver import field_context
+from hopfquiver import (
+    cocycle_from_table,
+    field_context,
+    standard_cyclic_cocycle,
+    verify_cocycle,
+)
 
 ORDERS = (3, 4, 5, 7, 8, 9, 11, 12)
 PAIRS = 64
 SEED = 1
 LOOPS = 20
 REPEATS = 5
+COCYCLE_ORDERS = (7, 11, 13, 16, 20)
+COCYCLE_REPEATS = 3
 
 
 def operands(m: int, kind: str, rng: random.Random) -> list:
@@ -71,6 +84,32 @@ def time_us(fn, pairs: list, loops: int, repeats: int) -> float:
                 fn(a, b)
         samples.append((time.perf_counter() - start) / (loops * len(pairs)) * 1e6)
     return statistics.median(samples)
+
+
+def time_s(fn) -> float:
+    """Median over COCYCLE_REPEATS of the seconds of one call fn()."""
+    samples = []
+    for _ in range(COCYCLE_REPEATS):
+        start = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
+def cocycle_rows() -> dict:
+    rows = {}
+    for n in COCYCLE_ORDERS:
+        ctx = field_context(n)
+        phi = standard_cyclic_cocycle(n, ctx.zeta)
+        text = json.dumps([[[v.to_json() for v in row] for row in plane] for plane in phi.values])
+        table = json.loads(text)
+        loaded = cocycle_from_table(phi.group, ctx, table)
+        rows[str(n)] = {
+            "verify_standard_s": time_s(lambda: verify_cocycle(phi.group, phi)),
+            "load_table_s": time_s(lambda: cocycle_from_table(phi.group, ctx, table)),
+            "verify_table_s": time_s(lambda: verify_cocycle(phi.group, loaded)),
+        }
+    return rows
 
 
 def git_commit(path: Path) -> dict:
@@ -109,6 +148,8 @@ def run() -> dict:
         "loops": LOOPS,
         "repeats": REPEATS,
         "per_m": per_m,
+        "cocycle_repeats": COCYCLE_REPEATS,
+        "cocycle_per_n": cocycle_rows(),
     }
 
 

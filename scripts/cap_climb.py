@@ -20,6 +20,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -32,17 +33,24 @@ RUN_CLI = "import sys; from hopfquiver.cli import main; sys.exit(main(sys.argv[1
 
 
 def _run_verify(spec: Path, cap: int, out_dir: str) -> tuple[int | None, float]:
-    """Exit code (None when the budget ran out) and wall seconds of one run."""
+    """Exit code (None when the budget ran out) and wall seconds of one run.
+
+    The child is reaped by a blocking `wait()`, so the time is read as soon as
+    it exits (`subprocess.run(timeout=...)` polls with sleeps of up to 50 ms
+    instead); a timer thread kills it when the budget runs out."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cmd = [sys.executable, "-c", RUN_CLI, "run", "--spec", str(spec), "--task", "verify",
            "--degree-cap", str(cap), "--out", out_dir]
     t0 = time.perf_counter()
+    child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    timer = threading.Timer(BUDGET_S, child.kill)
+    timer.start()
     try:
-        code = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=BUDGET_S).returncode
-    except subprocess.TimeoutExpired:
-        code = None
-    return code, time.perf_counter() - t0
+        code = child.wait()
+    finally:
+        timer.cancel()
+    seconds = time.perf_counter() - t0
+    return (None if seconds >= BUDGET_S else code), seconds
 
 
 def climb(spec: Path) -> dict:

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .cyclotomic import FieldContext, Scalar
 from .errors import (
+    MalformedCocycleTable,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -256,21 +257,49 @@ class Cocycle3:
         )
 
 
+def _entry_key(raw):
+    """The parse-memo key of one table entry: its type and value, and for a
+    coordinate list the type and value of each coordinate.  The type is part
+    of the key because 1 == True and hash(1) == hash(True), so a key of the
+    value alone would read `true` as an earlier `1`."""
+    if isinstance(raw, (list, tuple)):
+        return type(raw), tuple((type(x), x) for x in raw)
+    return type(raw), raw
+
+
+def _checked_rows(table, index: tuple, n: int, what: str):
+    if not isinstance(table, (list, tuple)) or len(table) != n:
+        raise MalformedCocycleTable(index, f"is not a list of {n} {what}")
+    return table
+
+
 def cocycle_from_table(group: FiniteGroup, ctx: FieldContext, values) -> Cocycle3:
-    """Wrap a dense value table, rejecting zero entries."""
+    """Wrap a dense n x n x n value table, rejecting zero entries.
+
+    A plane, row or entry that is not of that shape, or an entry that is not
+    a scalar, raises MalformedCocycleTable at its index.  Equal entries (by
+    `_entry_key`) are parsed once and share one Scalar.
+    """
     n = group.order
+    parsed = {}
     out = []
-    for a in range(n):
-        plane = []
-        for b in range(n):
-            row = []
-            for c in range(n):
-                v = ctx.scalar(values[a][b][c])
+    for a, plane in enumerate(_checked_rows(values, (), n, "planes")):
+        out_plane = []
+        for b, row in enumerate(_checked_rows(plane, (a,), n, "rows")):
+            out_row = []
+            for c, raw in enumerate(_checked_rows(row, (a, b), n, "values")):
+                try:
+                    key = _entry_key(raw)
+                    v = parsed.get(key)
+                    if v is None:
+                        v = parsed[key] = ctx.scalar(raw)
+                except (TypeError, ValueError, ArithmeticError) as exc:
+                    raise MalformedCocycleTable((a, b, c), f"is not a scalar: {exc}") from exc
                 if v.is_zero():
                     raise ZeroCocycleValue((a, b, c))
-                row.append(v)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
+                out_row.append(v)
+            out_plane.append(tuple(out_row))
+        out.append(tuple(out_plane))
     return Cocycle3(group, ctx, tuple(out))
 
 
@@ -305,20 +334,54 @@ def standard_cyclic_cocycle(n: int, zeta: Scalar) -> Cocycle3:
     return Cocycle3(group, ctx, values)
 
 
+class _ValueIndex(dict):
+    """Distinct scalars numbered 0, 1, ... in the order first seen.
+
+    A scalar's index is keyed by (order, num, den), the fields that
+    `Scalar.__eq__` compares, so two indices are equal exactly when their
+    scalars are.  As a dict it maps an index pair (i, j) to the index of
+    scalars[i] * scalars[j]: on the first lookup the product is computed
+    with `Scalar.__mul__` and interned, later lookups reuse it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.scalars = []
+        self._index = {}
+
+    def intern(self, v: Scalar) -> int:
+        key = (v.ctx.order, v.num, v.den)
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(self.scalars)
+            self.scalars.append(v)
+        return i
+
+    def __missing__(self, pair):
+        i, j = pair
+        k = self[pair] = self.intern(self.scalars[i] * self.scalars[j])
+        return k
+
+
 def verify_cocycle(group: FiniteGroup, cocycle: Cocycle3) -> VerificationReport:
     """Exhaustively check normalization and the 3-cocycle identity.
 
     Every violated normalization triple and every violated quadruple
         Phi(a,b,cd) Phi(ab,c,d) = Phi(b,c,d) Phi(a,bc,d) Phi(a,b,c)
     is listed; an empty report means the table is a valid normalized cocycle.
+
+    The identity is checked on value indices (`_ValueIndex`): 1 is index 0
+    and every table entry gets the index of its value, each product of two
+    indices is computed once and interned, and a quadruple compares its two
+    sides as two ints.  Quadruples whose five entries are all 1 are skipped.
     """
     report = VerificationReport()
     n = group.order
     e = group.identity
     values = cocycle.values
-    # precomputed is-one flags let the quadruple sweep skip instances whose
-    # five entries are all 1 (the identity is trivially true there)
-    ones = []
+    interned = _ValueIndex()
+    interned.intern(cocycle.ctx.one())
+    ids = []
     for a in range(n):
         plane = []
         for b in range(n):
@@ -327,47 +390,38 @@ def verify_cocycle(group: FiniteGroup, cocycle: Cocycle3) -> VerificationReport:
                 v = values[a][b][c]
                 if v.is_zero():
                     raise ZeroCocycleValue((a, b, c))
-                is_one = v.is_one()
-                row.append(is_one)
-                if (a == e or b == e or c == e) and not is_one:
+                row.append(interned.intern(v))
+                if (a == e or b == e or c == e) and not v.is_one():
                     report.add("normalization", (a, b, c), f"value {v.format()} != 1")
             plane.append(row)
-        ones.append(plane)
+        ids.append(plane)
     report.tally("normalization", n * n * n)
     mult = group.mult
+    scalars = interned.scalars
     for a in range(n):
-        va = values[a]
-        oa = ones[a]
+        ia = ids[a]
         for b in range(n):
-            ab = mult[a][b]
-            vab = values[ab]
-            oab = ones[ab]
-            va_b = va[b]
-            oa_b = oa[b]
-            vb = values[b]
-            ob = ones[b]
+            iab = ids[mult[a][b]]
+            ia_b = ia[b]
+            ib = ids[b]
             for c in range(n):
                 bc = mult[b][c]
                 mc = mult[c]
-                va_bc = va[bc]
-                oa_bc = oa[bc]
-                vab_c = vab[c]
-                oab_c = oab[c]
-                vb_c = vb[c]
-                ob_c = ob[c]
-                o5 = oa_b[c]
-                v5 = va_b[c]
+                ia_bc = ia[bc]
+                iab_c = iab[c]
+                ib_c = ib[c]
+                i5 = ia_b[c]
                 for d in range(n):
                     cd = mc[d]
-                    if o5 and oa_b[cd] and oab_c[d] and ob_c[d] and oa_bc[d]:
+                    if not (i5 or ia_b[cd] or iab_c[d] or ib_c[d] or ia_bc[d]):
                         continue
-                    lhs = va_b[cd] * vab_c[d]
-                    rhs = vb_c[d] * va_bc[d] * v5
+                    lhs = interned[ia_b[cd], iab_c[d]]
+                    rhs = interned[interned[ib_c[d], ia_bc[d]], i5]
                     if lhs != rhs:
                         report.add(
                             "cocycle_identity",
                             (a, b, c, d),
-                            f"lhs {lhs.format()} != rhs {rhs.format()}",
+                            f"lhs {scalars[lhs].format()} != rhs {scalars[rhs].format()}",
                         )
     report.tally("cocycle_identity", n ** 4)
     return report

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 from .cyclotomic import FieldContext, field_context
-from .errors import SpecError, ZeroCocycleValue
+from .errors import MalformedCocycleTable, SpecError, ZeroCocycleValue
 from .groups import (
     Cocycle3,
     FiniteGroup,
@@ -148,21 +148,16 @@ def _parse_cocycle(ctx: FieldContext, group: FiniteGroup, data) -> Cocycle3:
     if kind == "trivial":
         return trivial_cocycle(group, ctx)
     if kind == "table":
-        values = data.get("values")
-        n = group.order
-        _require(
-            isinstance(values, list) and len(values) == n,
-            f"cocycle.values must be an {n}x{n}x{n} array",
-        )
         try:
-            return cocycle_from_table(group, ctx, values)
+            return cocycle_from_table(group, ctx, data.get("values"))
         except ZeroCocycleValue as exc:
             a, b, c = exc.triple
             raise SpecError(
                 f"cocycle.values[{a}][{b}][{c}] is zero; Phi takes values in k*"
             ) from exc
-        except Exception as exc:
-            raise SpecError(f"malformed cocycle table: {exc}") from exc
+        except MalformedCocycleTable as exc:
+            where = "".join(f"[{i}]" for i in exc.index)
+            raise SpecError(f"malformed cocycle table: cocycle.values{where} {exc.reason}") from exc
     if kind == "cyclic_standard":
         n = data.get("n")
         power = data.get("zeta_power", 1)

@@ -1,6 +1,8 @@
 """Groups, 3-cocycles, subgroups: construction errors with witnesses,
 brute-force conjugacy oracles, and exhaustive cocycle verification."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,8 @@ from hopfquiver.groups import (
     direct_product,
     quaternion_group,
 )
+
+from oracles import cocycle_report_by_scalars
 
 
 def test_build_group_z2():
@@ -210,6 +214,48 @@ def test_with_entry_mutation_detected():
     mutated = phi.with_entry(1, 2, 3, phi(1, 2, 3) * ctx.scalar(2))
     rep = verify_cocycle(phi.group, mutated)
     assert not rep.ok
+
+
+def _same_report(phi):
+    fast = verify_cocycle(phi.group, phi).to_json()
+    assert fast == cocycle_report_by_scalars(phi.group, phi).to_json()
+    return fast
+
+
+def test_cocycle_sweep_matches_scalar_oracle_on_cocycles():
+    for n in range(2, 10):
+        ctx = field_context(n)
+        assert _same_report(standard_cyclic_cocycle(n, ctx.zeta))["ok"], n
+    ctx = field_context(3)
+    for name, g in small_groups(12):
+        assert _same_report(trivial_cocycle(g, ctx))["ok"], name
+
+
+def _mutants(phi, rng):
+    """Seeded corruptions of one table: an entry doubled or halved, two
+    entries of different values swapped, an entry moved to another root."""
+    n = phi.group.order
+    ctx = phi.ctx
+    cells = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    for factor in (2, ctx.scalar("1/2")):
+        cell = rng.choice(cells)
+        yield phi.with_entry(*cell, phi(*cell) * factor)
+    x, y = rng.sample(cells, 2)
+    while phi(*x) == phi(*y):
+        x, y = rng.sample(cells, 2)
+    yield phi.with_entry(*x, phi(*y)).with_entry(*y, phi(*x))
+    cell = rng.choice(cells)
+    root = ctx.root_of_unity(rng.randrange(1, ctx.order))
+    yield phi.with_entry(*cell, phi(*cell) * root)
+
+
+def test_cocycle_sweep_matches_scalar_oracle_on_mutants():
+    rng = random.Random(9)
+    for n in range(2, 8):
+        phi = standard_cyclic_cocycle(n, field_context(n).zeta)
+        for _ in range(4):
+            for mutant in _mutants(phi, rng):
+                _same_report(mutant)
 
 
 # -- subgroups ---------------------------------------------------------------

@@ -164,14 +164,15 @@ def test_cli_parse_error_exits_2(tmp_path, capsys):
     assert run_cli("run", "--spec", str(missing), "--out", str(tmp_path)) == 2
 
 
-def _exit_code_with_coeff(tmp_path, where, value):
+def _exit_code_with_coeff(tmp_path, where, value, fill="1"):
     """Run `verify` on z2_taft with one coefficient replaced: the first
-    action value's coefficient, or the cocycle-table entry Phi(1, 1, 1)."""
+    action value's coefficient, or the cocycle-table entry Phi(1, 1, 1) of a
+    table whose other entries are `fill`."""
     data = base_spec()
     if where == "action":
         data["action"]["left"][0]["value"][0]["coeff"] = value
     else:
-        values = [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", value]]]
+        values = [[[fill, fill], [fill, fill]], [[fill, fill], [fill, value]]]
         data["cocycle"] = {"kind": "table", "values": values}
     bad = tmp_path / f"bad_{where}.json"
     bad.write_text(json.dumps(data))
@@ -187,9 +188,12 @@ def test_cli_zero_denominator_exits_2(tmp_path, capsys, where):
 
 @pytest.mark.parametrize("where", ["action", "cocycle"])
 def test_cli_boolean_coefficient_exits_2(tmp_path, capsys, where):
-    for value in (True, [True, 0]):
-        assert _exit_code_with_coeff(tmp_path, where, value) == 2, value
-        assert "True is not a rational number" in capsys.readouterr().err
+    # the int fill equals True and hashes like it, so a cocycle table whose
+    # equal entries share one parse must not read `true` as a cached `1`
+    for fill in ("1", 1) if where == "cocycle" else ("1",):
+        for value in (True, [True, 0]):
+            assert _exit_code_with_coeff(tmp_path, where, value, fill) == 2, (value, fill)
+            assert "True is not a rational number" in capsys.readouterr().err
 
 
 def test_cli_zero_cocycle_entry_exits_2(tmp_path, capsys):
@@ -240,6 +244,13 @@ def test_cli_out_of_range_action_value_exits_2(tmp_path, capsys, term, named):
     assert named in capsys.readouterr().err
 
 
+_PLANE = [["1", "1"], ["1", "1"]]
+
+
+def _set_table(data, values):
+    data["cocycle"] = {"kind": "table", "values": values}
+
+
 @pytest.mark.parametrize(
     "field, edit",
     [
@@ -250,10 +261,21 @@ def test_cli_out_of_range_action_value_exits_2(tmp_path, capsys, term, named):
         ("action", lambda data: data.update(action=None)),
         ("tasks", lambda data: data.update(tasks=5)),
         ("tasks", lambda data: data.update(tasks="verify")),
+        ("cocycle.values is not", lambda data: _set_table(data, [_PLANE] * 3)),
+        ("cocycle.values[0] is not", lambda data: _set_table(data, [5, _PLANE])),
+        ("cocycle.values[0] is not", lambda data: _set_table(data, [_PLANE + [["1", "1"]], _PLANE])),
+        ("cocycle.values[0][0] is not", lambda data: _set_table(
+            data, [[["1", "1", "1"], ["1", "1"]], _PLANE])),
+        ("cocycle.values[0][1] is not", lambda data: _set_table(
+            data, [[["1", "1"], ["1"]], _PLANE])),
+        ("cocycle.values[1][1][1] is not a scalar", lambda data: _set_table(
+            data, [_PLANE, [["1", "1"], ["1", {"re": 1}]]])),
     ],
     ids=[
         "class_rep_outside_group", "boolean_degree_cap", "boolean_mult",
         "action_list", "action_null", "tasks_int", "tasks_string",
+        "cocycle_long_table", "cocycle_int_plane", "cocycle_long_plane",
+        "cocycle_long_row", "cocycle_short_row", "cocycle_object_entry",
     ],
 )
 def test_cli_bad_integer_field_exits_2(tmp_path, capsys, field, edit):
