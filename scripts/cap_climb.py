@@ -49,6 +49,7 @@ def _run_verify(spec: Path, cap: int, out_dir: str) -> tuple[int | None, float]:
         code = child.wait()
     finally:
         timer.cancel()
+        child.kill()  # no-op once reaped; stops the child if the wait was interrupted
     seconds = time.perf_counter() - t0
     return (None if seconds >= BUDGET_S else code), seconds
 

@@ -254,8 +254,9 @@ def test_cocycle_sweep_matches_scalar_oracle_on_mutants():
     for n in range(2, 8):
         phi = standard_cyclic_cocycle(n, field_context(n).zeta)
         for _ in range(4):
-            for mutant in _mutants(phi, rng):
-                _same_report(mutant)
+            reports = [_same_report(mutant) for mutant in _mutants(phi, rng)]
+            # a factor other than 1 on one entry always breaks the identity
+            assert sum(not r["ok"] for r in reports) >= 3, n
 
 
 # -- subgroups ---------------------------------------------------------------
