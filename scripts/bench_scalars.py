@@ -14,10 +14,16 @@ The cocycle rows time, for each n in COCYCLE_ORDERS, `verify_cocycle` on
 the standard Z_n cocycle over Q(zeta_n), `cocycle_from_table` on the same
 table written to JSON and read back, and `verify_cocycle` on the loaded
 table; each figure is the median over COCYCLE_REPEATS runs, in seconds.
+The many-valued rows, for each n in TWISTED_ORDERS, do the same for
+`verify_cocycle` on the standard Z_n cocycle times the coboundary of a
+normalized 2-cochain with rational values fixed by SEED, a table with
+nearly one value per entry.  Each `*_peak_kb` figure is the tracemalloc
+peak of one more call, in KiB, counting what the call allocates.
 Only the public API is used (`field_context`, `root_of_unity`, `scalar`,
-`one`, `*`, `/`, `inverse`, `to_json`, `standard_cyclic_cocycle`,
-`cocycle_from_table`, `verify_cocycle`), so the script times any checkout's
-`hopfquiver`, and records that checkout's git commit.
+`one`, `*`, `/`, `inverse`, `to_json`, `mul`, `identity`,
+`standard_cyclic_cocycle`, `cocycle_from_table`, `verify_cocycle`), so the
+script times any checkout's `hopfquiver`, and records that checkout's git
+commit.
 
 Run from the repository root:
 
@@ -36,6 +42,7 @@ import random
 import statistics
 import subprocess
 import time
+import tracemalloc
 from pathlib import Path
 
 import hopfquiver
@@ -53,6 +60,7 @@ LOOPS = 20
 REPEATS = 5
 COCYCLE_ORDERS = (7, 11, 13, 16, 20)
 COCYCLE_REPEATS = 3
+TWISTED_ORDERS = (11, 16, 20)
 
 
 def operands(m: int, kind: str, rng: random.Random) -> list:
@@ -96,6 +104,42 @@ def time_s(fn) -> float:
     return statistics.median(samples)
 
 
+def peak_kb(fn) -> float:
+    """The tracemalloc peak of one call fn(), in KiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def times_coboundary(phi, rng: random.Random):
+    """phi times the coboundary of a normalized 2-cochain f, f(x, y) a random
+    positive rational for x, y != e:
+    (df)(a, b, c) = f(b, c) f(a, bc) / (f(ab, c) f(a, b))."""
+    g = phi.group
+    ctx = phi.ctx
+    n = g.order
+    e = g.identity
+    f = [
+        [ctx.one() if e in (x, y) else ctx.scalar(f"{rng.randint(1, 9)}/{rng.randint(1, 9)}")
+         for y in range(n)]
+        for x in range(n)
+    ]
+    table = [
+        [
+            [
+                phi(a, b, c) * f[b][c] * f[a][g.mul(b, c)] / (f[g.mul(a, b)][c] * f[a][b])
+                for c in range(n)
+            ]
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+    return cocycle_from_table(g, ctx, table)
+
+
 def cocycle_rows() -> dict:
     rows = {}
     for n in COCYCLE_ORDERS:
@@ -108,6 +152,23 @@ def cocycle_rows() -> dict:
             "verify_standard_s": time_s(lambda: verify_cocycle(phi.group, phi)),
             "load_table_s": time_s(lambda: cocycle_from_table(phi.group, ctx, table)),
             "verify_table_s": time_s(lambda: verify_cocycle(phi.group, loaded)),
+            "verify_standard_peak_kb": peak_kb(lambda: verify_cocycle(phi.group, phi)),
+        }
+    return rows
+
+
+def twisted_rows() -> dict:
+    rng = random.Random(SEED)
+    rows = {}
+    for n in TWISTED_ORDERS:
+        ctx = field_context(n)
+        phi = times_coboundary(standard_cyclic_cocycle(n, ctx.zeta), rng)
+        rows[str(n)] = {
+            "distinct_values": len(
+                {json.dumps(v.to_json()) for plane in phi.values for row in plane for v in row}
+            ),
+            "verify_twisted_s": time_s(lambda: verify_cocycle(phi.group, phi)),
+            "verify_twisted_peak_kb": peak_kb(lambda: verify_cocycle(phi.group, phi)),
         }
     return rows
 
@@ -150,6 +211,7 @@ def run() -> dict:
         "per_m": per_m,
         "cocycle_repeats": COCYCLE_REPEATS,
         "cocycle_per_n": cocycle_rows(),
+        "twisted_per_n": twisted_rows(),
     }
 
 

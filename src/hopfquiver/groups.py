@@ -370,10 +370,16 @@ def verify_cocycle(group: FiniteGroup, cocycle: Cocycle3) -> VerificationReport:
         Phi(a,b,cd) Phi(ab,c,d) = Phi(b,c,d) Phi(a,bc,d) Phi(a,b,c)
     is listed; an empty report means the table is a valid normalized cocycle.
 
-    The identity is checked on value indices (`_ValueIndex`): 1 is index 0
-    and every table entry gets the index of its value, each product of two
-    indices is computed once and interned, and a quadruple compares its two
-    sides as two ints.  Quadruples whose five entries are all 1 are skipped.
+    Every table entry gets the index of its value in a `_ValueIndex`, 1
+    being index 0, and quadruples whose five entries are all 1 are skipped.
+    The quadruples of one `a` are checked on indices while the interned
+    values are few, s * s <= n^3 for s of them: each product of two indices
+    is then computed once and interned, and a quadruple compares its two
+    sides as two ints.  The gain rests on that: a standard Z_n table holds n
+    values and one with a doubled entry about 2n with their products, but a
+    table times a generic coboundary holds nearly n^3.  Past the bound the
+    quadruples are checked by `Scalar` products, as many as the identity
+    has, so the product memo never holds more than about 4 n^3 entries.
     """
     report = VerificationReport()
     n = group.order
@@ -396,35 +402,81 @@ def verify_cocycle(group: FiniteGroup, cocycle: Cocycle3) -> VerificationReport:
             plane.append(row)
         ids.append(plane)
     report.tally("normalization", n * n * n)
-    mult = group.mult
-    scalars = interned.scalars
     for a in range(n):
-        ia = ids[a]
-        for b in range(n):
-            iab = ids[mult[a][b]]
-            ia_b = ia[b]
-            ib = ids[b]
-            for c in range(n):
-                bc = mult[b][c]
-                mc = mult[c]
-                ia_bc = ia[bc]
-                iab_c = iab[c]
-                ib_c = ib[c]
-                i5 = ia_b[c]
-                for d in range(n):
-                    cd = mc[d]
-                    if not (i5 or ia_b[cd] or iab_c[d] or ib_c[d] or ia_bc[d]):
-                        continue
-                    lhs = interned[ia_b[cd], iab_c[d]]
-                    rhs = interned[interned[ib_c[d], ia_bc[d]], i5]
-                    if lhs != rhs:
-                        report.add(
-                            "cocycle_identity",
-                            (a, b, c, d),
-                            f"lhs {scalars[lhs].format()} != rhs {scalars[rhs].format()}",
-                        )
+        if len(interned.scalars) ** 2 <= n ** 3:
+            _identity_by_indices(report, group.mult, ids, interned, a)
+        else:
+            _identity_by_scalars(report, group.mult, ids, values, a)
     report.tally("cocycle_identity", n ** 4)
     return report
+
+
+def _identity_by_indices(report, mult, ids, interned, a):
+    """The 3-cocycle identity at the quadruples (a, b, c, d), on value indices."""
+    n = len(ids)
+    scalars = interned.scalars
+    ia = ids[a]
+    for b in range(n):
+        iab = ids[mult[a][b]]
+        ia_b = ia[b]
+        ib = ids[b]
+        for c in range(n):
+            bc = mult[b][c]
+            mc = mult[c]
+            ia_bc = ia[bc]
+            iab_c = iab[c]
+            ib_c = ib[c]
+            i5 = ia_b[c]
+            for d in range(n):
+                cd = mc[d]
+                if not (i5 or ia_b[cd] or iab_c[d] or ib_c[d] or ia_bc[d]):
+                    continue
+                lhs = interned[ia_b[cd], iab_c[d]]
+                rhs = interned[interned[ib_c[d], ia_bc[d]], i5]
+                if lhs != rhs:
+                    report.add(
+                        "cocycle_identity",
+                        (a, b, c, d),
+                        f"lhs {scalars[lhs].format()} != rhs {scalars[rhs].format()}",
+                    )
+
+
+def _identity_by_scalars(report, mult, ids, values, a):
+    """The 3-cocycle identity at the quadruples (a, b, c, d), on scalars."""
+    n = len(ids)
+    va = values[a]
+    ia = ids[a]
+    for b in range(n):
+        ab = mult[a][b]
+        vab = values[ab]
+        iab = ids[ab]
+        va_b = va[b]
+        ia_b = ia[b]
+        vb = values[b]
+        ib = ids[b]
+        for c in range(n):
+            bc = mult[b][c]
+            mc = mult[c]
+            va_bc = va[bc]
+            ia_bc = ia[bc]
+            vab_c = vab[c]
+            iab_c = iab[c]
+            vb_c = vb[c]
+            ib_c = ib[c]
+            v5 = va_b[c]
+            i5 = ia_b[c]
+            for d in range(n):
+                cd = mc[d]
+                if not (i5 or ia_b[cd] or iab_c[d] or ib_c[d] or ia_bc[d]):
+                    continue
+                lhs = va_b[cd] * vab_c[d]
+                rhs = vb_c[d] * va_bc[d] * v5
+                if lhs != rhs:
+                    report.add(
+                        "cocycle_identity",
+                        (a, b, c, d),
+                        f"lhs {lhs.format()} != rhs {rhs.format()}",
+                    )
 
 
 # ---------------------------------------------------------------------------

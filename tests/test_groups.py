@@ -19,6 +19,7 @@ from hopfquiver import (
     trivial_cocycle,
     verify_cocycle,
 )
+from hopfquiver import groups
 from hopfquiver.errors import (
     NoIdentity,
     NoInverse,
@@ -222,13 +223,44 @@ def _same_report(phi):
     return fast
 
 
+def _times_coboundary(phi, rng):
+    """phi times the coboundary of a seeded normalized 2-cochain f with
+    rational values: a cocycle cohomologous to phi whose table holds nearly
+    one value per entry."""
+    g = phi.group
+    ctx = phi.ctx
+    n = g.order
+    e = g.identity
+    one = ctx.one()
+    f = [
+        [one if e in (x, y) else ctx.scalar(f"{rng.randint(1, 9)}/{rng.randint(1, 9)}")
+         for y in range(n)]
+        for x in range(n)
+    ]
+    m = g.mult
+    table = [
+        [
+            [phi(a, b, c) * f[b][c] * f[a][m[b][c]] / (f[m[a][b]][c] * f[a][b]) for c in range(n)]
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+    return cocycle_from_table(g, ctx, table)
+
+
 def test_cocycle_sweep_matches_scalar_oracle_on_cocycles():
+    rng = random.Random(5)
     for n in range(2, 10):
         ctx = field_context(n)
-        assert _same_report(standard_cyclic_cocycle(n, ctx.zeta))["ok"], n
+        phi = standard_cyclic_cocycle(n, ctx.zeta)
+        assert _same_report(phi)["ok"], n
+        if n <= 7:
+            assert _same_report(_times_coboundary(phi, rng))["ok"], n
     ctx = field_context(3)
     for name, g in small_groups(12):
         assert _same_report(trivial_cocycle(g, ctx))["ok"], name
+        if g.order <= 8:
+            assert _same_report(_times_coboundary(trivial_cocycle(g, ctx), rng))["ok"], name
 
 
 def _mutants(phi, rng):
@@ -253,10 +285,40 @@ def test_cocycle_sweep_matches_scalar_oracle_on_mutants():
     rng = random.Random(9)
     for n in range(2, 8):
         phi = standard_cyclic_cocycle(n, field_context(n).zeta)
-        for _ in range(4):
-            reports = [_same_report(mutant) for mutant in _mutants(phi, rng)]
-            # a factor other than 1 on one entry always breaks the identity
-            assert sum(not r["ok"] for r in reports) >= 3, n
+        for table in (phi, _times_coboundary(phi, rng)):
+            for _ in range(4):
+                doubled, halved, _swapped, rooted = (
+                    _same_report(mutant) for mutant in _mutants(table, rng)
+                )
+                # A factor f != 1 on one entry (a, b, c) with a, b, c != e
+                # appears once, unpaired, in the quadruples (a, b, c, d) with
+                # d != e, a: so it breaks the identity when n >= 3, and on Z_2
+                # (only d = a = b = c, where it appears twice) when f^2 != 1.
+                # An entry with a factor at e breaks normalization.
+                assert not doubled["ok"] and not halved["ok"], n
+                assert n == 2 or not rooted["ok"], n
+
+
+def test_cocycle_sweep_takes_both_paths(monkeypatch):
+    """A table with few values is swept on indices throughout, one times a
+    generic coboundary by scalars, and a doubled Z_3 table switches once its
+    products are interned; the oracle tests above cover all three."""
+    calls = []
+    for path in ("_identity_by_indices", "_identity_by_scalars"):
+        inner = getattr(groups, path)
+        monkeypatch.setattr(
+            groups, path, lambda *args, path=path, inner=inner: calls.append(path) or inner(*args)
+        )
+    phi = standard_cyclic_cocycle(5, field_context(5).zeta)
+    verify_cocycle(phi.group, phi)
+    assert calls == ["_identity_by_indices"] * 5
+    calls.clear()
+    verify_cocycle(phi.group, _times_coboundary(phi, random.Random(1)))
+    assert calls == ["_identity_by_scalars"] * 5
+    calls.clear()
+    phi = standard_cyclic_cocycle(3, field_context(3).zeta)
+    verify_cocycle(phi.group, phi.with_entry(1, 1, 2, phi(1, 1, 2) * 2))
+    assert calls == ["_identity_by_indices"] * 2 + ["_identity_by_scalars"]
 
 
 # -- subgroups ---------------------------------------------------------------
