@@ -370,16 +370,18 @@ def verify_cocycle(group: FiniteGroup, cocycle: Cocycle3) -> VerificationReport:
         Phi(a,b,cd) Phi(ab,c,d) = Phi(b,c,d) Phi(a,bc,d) Phi(a,b,c)
     is listed; an empty report means the table is a valid normalized cocycle.
 
-    Every table entry gets the index of its value in a `_ValueIndex`, 1
-    being index 0, and quadruples whose five entries are all 1 are skipped.
-    The quadruples of one `a` are checked on indices while the interned
-    values are few, s * s <= n^3 for s of them: each product of two indices
-    is then computed once and interned, and a quadruple compares its two
-    sides as two ints.  The gain rests on that: a standard Z_n table holds n
-    values and one with a doubled entry about 2n with their products, but a
-    table times a generic coboundary holds nearly n^3.  Past the bound the
+    Table entries get the index of their value in a `_ValueIndex`, 1 being
+    index 0, and quadruples whose five entries are all 1 are skipped.  The
+    quadruples of one `a` are checked on indices while the interned values
+    are few, s * s <= n^3 for s of them: each product of two indices is then
+    computed once and interned, and a quadruple compares its two sides as
+    two ints.  The gain rests on that: a standard Z_n table holds n values
+    and one with a doubled entry about 2n with their products, but a table
+    times a generic coboundary holds nearly n^3.  Past the bound the
     quadruples are checked by `Scalar` products, as many as the identity
-    has, so the product memo never holds more than about 4 n^3 entries.
+    has, so the product memo never holds more than about 4 n^3 entries; an
+    entry met after the bound is passed is not interned, its index is 0 if
+    it is 1 and -1 otherwise.
     """
     report = VerificationReport()
     n = group.order
@@ -387,6 +389,7 @@ def verify_cocycle(group: FiniteGroup, cocycle: Cocycle3) -> VerificationReport:
     values = cocycle.values
     interned = _ValueIndex()
     interned.intern(cocycle.ctx.one())
+    bound = n ** 3
     ids = []
     for a in range(n):
         plane = []
@@ -396,14 +399,17 @@ def verify_cocycle(group: FiniteGroup, cocycle: Cocycle3) -> VerificationReport:
                 v = values[a][b][c]
                 if v.is_zero():
                     raise ZeroCocycleValue((a, b, c))
-                row.append(interned.intern(v))
+                if len(interned.scalars) ** 2 <= bound:
+                    row.append(interned.intern(v))
+                else:
+                    row.append(0 if v.is_one() else -1)
                 if (a == e or b == e or c == e) and not v.is_one():
                     report.add("normalization", (a, b, c), f"value {v.format()} != 1")
             plane.append(row)
         ids.append(plane)
     report.tally("normalization", n * n * n)
     for a in range(n):
-        if len(interned.scalars) ** 2 <= n ** 3:
+        if len(interned.scalars) ** 2 <= bound:
             _identity_by_indices(report, group.mult, ids, interned, a)
         else:
             _identity_by_scalars(report, group.mult, ids, values, a)
