@@ -30,139 +30,82 @@ from hopfquiver.actions import (  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "specs"
 
+TRIVIAL = {"kind": "trivial"}
+BLOCK_TASKS = ["verify", "decompose", "crossed_product"]
 
-def action_json(action):
-    return action.to_json()
 
-
-def write(name: str, payload: dict):
+def write_spec(name: str, action, cocycle: dict, cap: int, tasks: list[str]):
+    """Write specs/<name>: the problem on `action`'s quiver and field."""
+    quiver = action.quiver
+    payload = {
+        "schema": 1,
+        "field_order": action.ctx.order,
+        "group": {"mult": [list(r) for r in quiver.group.mult]},
+        "cocycle": cocycle,
+        "ramification": quiver.ram.to_json(quiver.group),
+        "action": action.to_json(),
+        "degree_cap": cap,
+        "tasks": tasks,
+    }
     OUT.mkdir(exist_ok=True)
     path = OUT / name
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {path}")
 
 
-def taft_spec(n: int, m: int, q_power: int, tasks, cap=4, class_rep=1):
-    ctx = field_context(m)
+def quiver(group, class_rep: int, mult: int = 1):
+    return hopf_quiver(group, RamificationData.from_class_reps(group, [(class_rep, mult)]))
+
+
+def taft(n: int, class_rep: int = 1):
+    """Z_n Taft-type data over Q(zeta_n): trivial cocycle, q = zeta_n."""
+    ctx = field_context(n)
     group = cyclic_group(n)
-    ram = RamificationData.from_class_reps(group, [(class_rep, 1)])
-    quiver = hopf_quiver(group, ram)
-    q = ctx.root_of_unity(q_power)
-    action = taft_action(quiver, trivial_cocycle(group, ctx), q)
-    return {
-        "schema": 1,
-        "field_order": m,
-        "group": {"mult": [list(r) for r in group.mult]},
-        "cocycle": {"kind": "trivial"},
-        "ramification": [{"class_rep": class_rep, "mult": 1}],
-        "action": action_json(action),
-        "degree_cap": cap,
-        "tasks": list(tasks),
-    }
+    return taft_action(quiver(group, class_rep), trivial_cocycle(group, ctx), ctx.root_of_unity(1))
 
 
 def main():
-    # Z_n Taft-type data with trivial cocycle, q a primitive n-th root
-    write("z2_taft.json", taft_spec(2, 2, 1, ["verify"]))
-    write("z3_taft.json", taft_spec(3, 3, 1, ["verify"]))
-    write("z4_taft.json", taft_spec(4, 4, 1, ["verify"]))
+    for n in (2, 3, 4):
+        write_spec(f"z{n}_taft.json", taft(n), TRIVIAL, 4, ["verify"])
 
     # Z_2 with the nontrivial cocycle (value -1 on the triple of the
     # generator) and the sign-corrected action over Q(i)
     ctx = field_context(4)
     group = cyclic_group(2)
     phi = standard_cyclic_cocycle(2, ctx.scalar(-1))
-    ram = RamificationData.from_class_reps(group, [(1, 1)])
-    quiver = hopf_quiver(group, ram)
     action = cyclic_action_from_seeds(
-        quiver, phi, [ctx.one(), ctx.scalar(-1)], [ctx.zeta, ctx.zeta]
+        quiver(group, 1), phi, [ctx.one(), ctx.scalar(-1)], [ctx.zeta, ctx.zeta]
     )
-    write(
-        "z2_nontrivial_cocycle.json",
-        {
-            "schema": 1,
-            "field_order": 4,
-            "group": {"mult": [list(r) for r in group.mult]},
-            "cocycle": {"kind": "cyclic_standard", "n": 2, "zeta_power": 1},
-            "ramification": [{"class_rep": 1, "mult": 1}],
-            "action": action_json(action),
-            "degree_cap": 4,
-            "tasks": ["verify"],
-        },
-    )
+    cocycle = {"kind": "cyclic_standard", "n": 2, "zeta_power": 1}
+    write_spec("z2_nontrivial_cocycle.json", action, cocycle, 4, ["verify"])
 
     # Z_4 ramified at g^2 (two blocks), trivial cocycle, q = i
-    spec = taft_spec(4, 4, 1, ["verify", "decompose", "crossed_product"], cap=3, class_rep=2)
-    write("z4_two_blocks_trivial.json", spec)
+    write_spec("z4_two_blocks_trivial.json", taft(4, class_rep=2), TRIVIAL, 3, BLOCK_TASKS)
 
     # Z_4 ramified at g^2 with the standard cocycle; the action seeds need a
     # primitive 8th root of unity
     ctx8 = field_context(8)
     group4 = cyclic_group(4)
     phi4 = standard_cyclic_cocycle(4, ctx8.root_of_unity(2))
-    ram4 = RamificationData.from_class_reps(group4, [(2, 1)])
-    quiver4 = hopf_quiver(group4, ram4)
     z = ctx8.zeta
     action4 = cyclic_action_from_seeds(
-        quiver4,
+        quiver(group4, 2),
         phi4,
         [ctx8.one(), ctx8.one(), ctx8.one(), ctx8.scalar(-1)],
         [z, z, z ** 7, z ** 3],
     )
-    write(
-        "z4_two_blocks_standard_cocycle.json",
-        {
-            "schema": 1,
-            "field_order": 8,
-            "group": {"mult": [list(r) for r in group4.mult]},
-            "cocycle": {"kind": "cyclic_standard", "n": 4, "zeta_power": 1},
-            "ramification": [{"class_rep": 2, "mult": 1}],
-            "action": action_json(action4),
-            "degree_cap": 3,
-            "tasks": ["verify", "decompose", "crossed_product"],
-        },
-    )
+    cocycle4 = {"kind": "cyclic_standard", "n": 4, "zeta_power": 1}
+    write_spec("z4_two_blocks_standard_cocycle.json", action4, cocycle4, 3, BLOCK_TASKS)
 
     # nonabelian example: S_3 with one loop per vertex, translation action
     s3 = symmetric_group(3)
-    ctx_s3 = field_context(1)
-    ram_s3 = RamificationData.from_class_reps(s3, [(s3.identity, 1)])
-    quiver_s3 = hopf_quiver(s3, ram_s3)
-    action_s3 = translation_loop_action(quiver_s3, ctx_s3)
-    write(
-        "s3_loops.json",
-        {
-            "schema": 1,
-            "field_order": 1,
-            "group": {"mult": [list(r) for r in s3.mult]},
-            "cocycle": {"kind": "trivial"},
-            "ramification": [{"class_rep": s3.identity, "mult": 1}],
-            "action": action_s3.to_json(),
-            "degree_cap": 2,
-            "tasks": ["verify", "decompose", "crossed_product"],
-        },
-    )
+    action_s3 = translation_loop_action(quiver(s3, s3.identity), field_context(1))
+    write_spec("s3_loops.json", action_s3, TRIVIAL, 2, BLOCK_TASKS)
 
     # one-vertex quivers with one and two loops
     for nloops in (1, 2):
-        ctx1 = field_context(1)
-        g1 = cyclic_group(1)
-        ram1 = RamificationData.from_class_reps(g1, [(0, nloops)])
-        q1 = hopf_quiver(g1, ram1)
-        act1 = trivial_loop_action(q1, ctx1)
-        write(
-            f"one_vertex_{nloops}_loop.json",
-            {
-                "schema": 1,
-                "field_order": 1,
-                "group": {"mult": [[0]]},
-                "cocycle": {"kind": "trivial"},
-                "ramification": [{"class_rep": 0, "mult": nloops}],
-                "action": action_json(act1),
-                "degree_cap": 3,
-                "tasks": ["verify", "primitives"],
-            },
-        )
+        act1 = trivial_loop_action(quiver(cyclic_group(1), 0, nloops), field_context(1))
+        write_spec(f"one_vertex_{nloops}_loop.json", act1, TRIVIAL, 3, ["verify", "primitives"])
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ import re
 import sys
 from pathlib import Path as FsPath
 
-from .errors import HopfQuiverError, IsoCheckFailed, NotSingleVertex, SpecError, UnknownFormat
+from .errors import (DegreeCapExceeded, HopfQuiverError, IsoCheckFailed, NotSingleVertex,
+                     SpecError, UnknownFormat)
 from .groups import verify_cocycle
 from .majid import MajidStructure, verify_bimodule, verify_majid_axioms
 from .pathcoalg import Element
@@ -127,7 +128,7 @@ def _run_crossed_product(spec: ProblemSpec, structure: MajidStructure) -> dict:
 def _run_primitives(spec: ProblemSpec, structure: MajidStructure) -> dict:
     try:
         lie = primitives(structure)
-    except NotSingleVertex as exc:
+    except (NotSingleVertex, DegreeCapExceeded) as exc:
         return {"ok": False, "error": str(exc)}
     data = lie.to_json()
     data["ok"] = lie.report.ok

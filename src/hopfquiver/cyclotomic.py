@@ -253,9 +253,6 @@ class Scalar:
         num = tuple(a * db - b * da for a, b in zip(self.num, other.num))
         return _canonical(self.ctx, num, da * db)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __neg__(self):
         return Scalar(self.ctx, tuple(-a for a in self.num), self.den)
 
@@ -298,9 +295,6 @@ class Scalar:
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:

@@ -70,8 +70,9 @@ class BimoduleAction:
     """Left and right quasi-actions of the group on the arrow space.
 
     `left[(g, arrow)]` and `right[(arrow, g)]` are degree-1 elements;
-    missing entries are zero.  Whether the data is a genuine Majid bimodule
-    is decided by `verify_bimodule`.
+    missing entries are zero, and a value that leaves the arrow space raises
+    ActionNotDegree1.  Whether the data is a genuine Majid bimodule is
+    decided by `verify_bimodule`.
     """
 
     __slots__ = ("ctx", "quiver", "left", "right")
@@ -87,6 +88,10 @@ class BimoduleAction:
         self.quiver = quiver
         self.left = {k: v for k, v in left.items() if not v.is_zero()}
         self.right = {k: v for k, v in right.items() if not v.is_zero()}
+        for side, table in (("left", self.left), ("right", self.right)):
+            for key, v in table.items():
+                if not v.is_homogeneous(1):
+                    raise ActionNotDegree1((side,) + key)
 
     def left_of(self, g: int, arrow: int) -> Element:
         return self.left.get((g, arrow), Element.zero(self.ctx))
@@ -106,15 +111,6 @@ class BimoduleAction:
         for p, c in x.terms.items():
             add_scaled(acc, self.right_of(p.arrows[0], g), c)
         return Element(self.ctx, acc)
-
-    def validate_degree1(self):
-        """Raise ActionNotDegree1 if any value leaves the arrow space."""
-        for key, v in self.left.items():
-            if not v.is_homogeneous(1):
-                raise ActionNotDegree1(("left",) + key)
-        for key, v in self.right.items():
-            if not v.is_homogeneous(1):
-                raise ActionNotDegree1(("right",) + key)
 
     def entries(self) -> list[tuple[str, tuple[int, int], Element]]:
         """All nonzero entries, deterministically ordered."""
@@ -185,7 +181,6 @@ def verify_bimodule(group: FiniteGroup, phi: Cocycle3, action: BimoduleAction) -
     * middle compatibility       (e.m).f = [Phi(e,h,f)/Phi(e,g,f)] e.(m.f);
     * bicomodule targets: f.m lands in the (fg, fh) component, m.f in (gf, hf).
     """
-    action.validate_degree1()
     quiver = action.quiver
     report = VerificationReport()
     e0 = group.identity
@@ -272,7 +267,6 @@ class MajidStructure:
             raise ValueError("cocycle and quiver use different groups")
         if action.quiver is not quiver:
             raise ValueError("action tables belong to a different quiver")
-        action.validate_degree1()
         self.quiver = quiver
         self.group = quiver.group
         self.phi = phi
@@ -291,9 +285,6 @@ class MajidStructure:
         self._s1_cache: dict[int, Element] = {}
 
     # -- bases ---------------------------------------------------------------
-
-    def basis(self, degree: int) -> list[Path]:
-        return self._basis[degree]
 
     def basis_up_to(self, cap: int | None = None) -> list[Path]:
         cap = self.degree_cap if cap is None else min(cap, self.degree_cap)
@@ -447,8 +438,9 @@ def _glue(partial: dict[Path, Scalar] | None, leg: Element) -> dict[Path, Scalar
 # the full axiom verifier
 
 
-def _triples_up_to(structure: MajidStructure, cap: int):
-    basis = structure.basis_up_to(cap)
+def _triples_up_to(structure: MajidStructure):
+    cap = structure.degree_cap
+    basis = structure.basis_up_to()
     for p in basis:
         lp = len(p.arrows)
         for q in basis:
@@ -460,9 +452,10 @@ def _triples_up_to(structure: MajidStructure, cap: int):
                     yield p, q, r
 
 
-def verify_majid_axioms(structure: MajidStructure, cap: int | None = None,
+def verify_majid_axioms(structure: MajidStructure,
                         cocycle_report: VerificationReport | None = None) -> VerificationReport:
-    """Check every Majid-algebra axiom on basis paths of total degree <= cap.
+    """Check every Majid-algebra axiom on basis paths of total degree up to
+    the structure's degree cap.
 
     Both sides of each axiom are evaluated literally with the extended
     reassociator and functionals; no hand simplification is trusted.  The
@@ -471,12 +464,11 @@ def verify_majid_axioms(structure: MajidStructure, cap: int | None = None,
     `verify_cocycle` on the structure's Phi passes that `cocycle_report` for (2.3).
     """
     S = structure
-    cap = S.degree_cap if cap is None else min(cap, S.degree_cap)
     ctx = S.ctx
     quiver = S.quiver
     group = S.group
     report = VerificationReport()
-    basis = S.basis_up_to(cap)
+    basis = S.basis_up_to()
     splits = {p: path_splits(quiver, p) for p in basis}
     element = {p: Element.of_path(ctx, p) for p in basis}
     eps = {p: counit(x) for p, x in element.items()}
@@ -491,7 +483,7 @@ def verify_majid_axioms(structure: MajidStructure, cap: int | None = None,
     right_vertex = {p: [t for t in splits[p] if t[1].is_vertex()] for p in basis}
     left_vertex = {p: [t for t in splits[p] if t[0].is_vertex()] for p in basis}
     count = 0
-    for p, q, r in _triples_up_to(S, cap):
+    for p, q, r in _triples_up_to(S):
         count += 1
         lhs: dict[Path, Scalar] = {}
         for p1, p2 in right_vertex[p]:
@@ -523,7 +515,7 @@ def verify_majid_axioms(structure: MajidStructure, cap: int | None = None,
     for p in basis:
         lp = len(p.arrows)
         for q in basis:
-            if lp + len(q.arrows) > cap:
+            if lp + len(q.arrows) > S.degree_cap:
                 continue
             count += 1
             prod = S.multiply_paths(p, q)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 from .cyclotomic import FieldContext, field_context
-from .errors import MalformedCocycleTable, SpecError, ZeroCocycleValue
+from .errors import ActionNotDegree1, MalformedCocycleTable, SpecError, ZeroCocycleValue
 from .groups import (
     Cocycle3,
     FiniteGroup,
@@ -127,6 +127,12 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         action = action_from_json(ctx, quiver, action_data)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise SpecError(f"malformed action table: {exc}") from exc
+    except ActionNotDegree1 as exc:
+        side, x, y = exc.key
+        g, a = (x, y) if side == "left" else (y, x)
+        raise SpecError(
+            f"action.{side}: g={g!r} arrow={a!r}: value is not homogeneous of degree 1"
+        ) from exc
 
     cap = data.get("degree_cap")
     _require(type(cap) is int and cap >= 0, "degree_cap must be a nonnegative integer")

@@ -71,10 +71,6 @@ class Path:
     def __len__(self):
         return len(self.arrows)
 
-    @property
-    def length(self) -> int:
-        return len(self.arrows)
-
     def is_vertex(self) -> bool:
         return not self.arrows
 
@@ -91,19 +87,16 @@ _PATHS: dict[tuple, Path] = {}
 class HopfQuiver:
     """The Hopf quiver of (G, R): vertices G, R_C arrows x -> cx per c in C."""
 
-    __slots__ = ("group", "ram", "arrows", "arrows_from", "arrows_into")
+    __slots__ = ("group", "ram", "arrows", "arrows_from")
 
     def __init__(self, group: FiniteGroup, ram: RamificationData, arrows: tuple[Arrow, ...]):
         self.group = group
         self.ram = ram
         self.arrows = arrows
         outgoing: list[list[int]] = [[] for _ in group.elements()]
-        incoming: list[list[int]] = [[] for _ in group.elements()]
         for a in arrows:
             outgoing[a.source].append(a.index)
-            incoming[a.target].append(a.index)
         self.arrows_from = tuple(tuple(v) for v in outgoing)
-        self.arrows_into = tuple(tuple(v) for v in incoming)
 
     @property
     def num_vertices(self) -> int:

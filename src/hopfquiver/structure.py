@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import Scalar
-from .errors import IsoCheckFailed, NotSingleVertex
+from .errors import DegreeCapExceeded, IsoCheckFailed, NotSingleVertex
 from .groups import subgroup_generated
 from .majid import MajidStructure
 from .pathcoalg import Element, TensorElement, comultiply_element, path_splits, tensor_of_pairs
@@ -135,25 +135,21 @@ def blocks(structure: MajidStructure) -> BlockDecomposition:
     )
 
 
-def translate(structure: MajidStructure, x: Element | Path, g: int) -> Element:
+def translate(structure: MajidStructure, p: Path, g: int) -> Element:
     """Right translation Tr_g: p -> p * g (multiplication by the vertex g)."""
-    if isinstance(x, Path):
-        x = Element.of_path(structure.ctx, x)
-    return structure.multiply(x, structure.vertex(g))
+    return structure.multiply(Element.of_path(structure.ctx, p), structure.vertex(g))
 
 
-def verify_translations(structure: MajidStructure, cap: int | None = None) -> VerificationReport:
+def verify_translations(structure: MajidStructure) -> VerificationReport:
     """Check that every Tr_g is a degree-preserving coalgebra bijection from
-    the principal block onto the block of g, for basis paths up to `cap`."""
+    the principal block onto the block of g, for basis paths up to the cap."""
     S = structure
-    cap = S.degree_cap if cap is None else min(cap, S.degree_cap)
     dec = blocks(S)
     group = S.group
     quiver = S.quiver
     report = VerificationReport()
-    principal = [p for p in dec.blocks[dec.principal_rep] if len(p.arrows) <= cap]
     by_degree: dict[int, list[Path]] = {}
-    for p in principal:
+    for p in dec.blocks[dec.principal_rep]:
         by_degree.setdefault(len(p.arrows), []).append(p)
 
     for g in group.elements():
@@ -204,19 +200,18 @@ def verify_translations(structure: MajidStructure, cap: int | None = None) -> Ve
     return report
 
 
-def block_product_check(structure: MajidStructure, cap: int | None = None) -> VerificationReport:
+def block_product_check(structure: MajidStructure) -> VerificationReport:
     """Products respect blocks (H_(g) H_(h) inside H_(gh)) and the antipode
     sends the block of g into the block of g^-1."""
     S = structure
-    cap = S.degree_cap if cap is None else min(cap, S.degree_cap)
     dec = blocks(S)
     group = S.group
     report = VerificationReport()
-    basis = [p for p in S.basis_up_to(cap)]
+    basis = S.basis_up_to()
     count = 0
     for p in basis:
         for q in basis:
-            if len(p.arrows) + len(q.arrows) > cap:
+            if len(p.arrows) + len(q.arrows) > S.degree_cap:
                 continue
             count += 1
             expected = dec.rep_of_vertex[group.mul(p.source, q.source)]
@@ -341,15 +336,15 @@ def _transport_rhs(structure: MajidStructure, p: Path, u: int, q: Path, v: int) 
     return S.multiply(core, S.vertex(S.group.mul(u, v))).scale(theta(S, p, q, u, v))
 
 
-def crossed_product(structure: MajidStructure, cap: int | None = None) -> CrossedProduct:
+def crossed_product(structure: MajidStructure) -> CrossedProduct:
     """Build the crossed product and verify the multiplicative transport of
-    the isomorphism p u -> p (x) u on all basis pairs of total degree <= cap.
+    the isomorphism p u -> p (x) u on all basis pairs of total degree up to
+    the cap.
 
     Raises IsoCheckFailed with the first pair that does not transport (which
     would indicate an implementation defect, not a failure of the theory).
     """
     S = structure
-    cap = S.degree_cap if cap is None else min(cap, S.degree_cap)
     dec = blocks(S)
     g = S.group
     reps = dec.coset_reps
@@ -361,14 +356,12 @@ def crossed_product(structure: MajidStructure, cap: int | None = None) -> Crosse
             sigma[(u, v)] = g.mul(uv, g.inv(wbar))
     assert all(n in set(dec.normal_subgroup) for n in sigma.values())
 
-    principal = [
-        p for p in dec.blocks[dec.principal_rep] if len(p.arrows) <= cap
-    ]
+    principal = dec.blocks[dec.principal_rep]
     pairs = [
         (p, u, q, v)
         for p in principal
         for q in principal
-        if len(p.arrows) + len(q.arrows) <= cap
+        if len(p.arrows) + len(q.arrows) <= S.degree_cap
         for u in reps
         for v in reps
     ]
@@ -391,7 +384,6 @@ class LieData:
 
     loop_arrows: tuple[int, ...]
     brackets: dict[tuple[int, int], Element]
-    structure_constants: dict[tuple[int, int], dict[Path, Scalar]]
     report: VerificationReport
 
     def to_json(self):
@@ -408,14 +400,15 @@ def primitives(structure: MajidStructure) -> LieData:
     """Extract the degree-1 primitives (the loops), their commutators, and
     check primitivity, associativity on primitives, antisymmetry and Jacobi.
 
-    Jacobi needs degree 3; when the cap is 2 the Jacobi check is skipped and
-    recorded as such in the report counts.
+    Associativity and Jacobi multiply three primitives, so the structure
+    must be capped at degree 3 or more; below that DegreeCapExceeded is
+    raised before any check runs.
     """
     S = structure
     if S.quiver.num_vertices != 1:
         raise NotSingleVertex(S.quiver.num_vertices)
-    if S.degree_cap < 2:
-        raise ValueError("primitive extraction needs degree cap >= 2")
+    if S.degree_cap < 3:
+        raise DegreeCapExceeded(3, S.degree_cap)
     ctx = S.ctx
     quiver = S.quiver
     report = VerificationReport()
@@ -436,13 +429,7 @@ def primitives(structure: MajidStructure) -> LieData:
         return S.multiply(x, y) - S.multiply(y, x)
 
     elems = {i: S.arrow(i) for i in loops}
-    brackets: dict[tuple[int, int], Element] = {}
-    constants: dict[tuple[int, int], dict[Path, Scalar]] = {}
-    for i in loops:
-        for j in loops:
-            b = bracket(elems[i], elems[j])
-            brackets[(i, j)] = b
-            constants[(i, j)] = dict(b.terms)
+    brackets = {(i, j): bracket(elems[i], elems[j]) for i in loops for j in loops}
 
     for i in loops:
         for j in loops:
@@ -460,21 +447,20 @@ def primitives(structure: MajidStructure) -> LieData:
                     report.add("primitive_associativity", (i, j, k))
     report.tally("primitive_associativity", count)
 
-    if S.degree_cap >= 3:
-        count = 0
-        for i in loops:
-            for j in loops:
-                for k in loops:
-                    count += 1
-                    x, y, z = elems[i], elems[j], elems[k]
-                    jac = (
-                        bracket(x, bracket(y, z))
-                        + bracket(y, bracket(z, x))
-                        + bracket(z, bracket(x, y))
-                    )
-                    if not jac.is_zero():
-                        report.add("jacobi", (i, j, k))
-        report.tally("jacobi", count)
+    count = 0
+    for i in loops:
+        for j in loops:
+            for k in loops:
+                count += 1
+                x, y, z = elems[i], elems[j], elems[k]
+                jac = (
+                    bracket(x, bracket(y, z))
+                    + bracket(y, bracket(z, x))
+                    + bracket(z, bracket(x, y))
+                )
+                if not jac.is_zero():
+                    report.add("jacobi", (i, j, k))
+    report.tally("jacobi", count)
 
     # bracket closure inside the degree-filtered span: commutators of the
     # degree-1 primitives must stay expressible over the recorded brackets
@@ -486,19 +472,15 @@ def primitives(structure: MajidStructure) -> LieData:
             report.add("bracket_closure", (i, j))
     report.tally("bracket_closure", len(brackets))
 
-    return LieData(loops, brackets, constants, report)
+    return LieData(loops, brackets, report)
 
 
-def cocommutative_check(
-    structure: MajidStructure, cap: int | None = None
-) -> tuple[bool, Path | None]:
-    """Is Delta = Delta^op on all basis paths of degree <= cap?  Scans degrees
+def cocommutative_check(structure: MajidStructure) -> tuple[bool, Path | None]:
+    """Is Delta = Delta^op on all basis paths up to the cap?  Scans degrees
     in ascending order and returns the first witness path on failure."""
     S = structure
-    cap = S.degree_cap if cap is None else min(cap, S.degree_cap)
-    for d in range(cap + 1):
-        for p in S.basis(d):
-            delta = comultiply_element(S.quiver, Element.of_path(S.ctx, p))
-            if delta != delta.swap():
-                return False, p
+    for p in S.basis_up_to():
+        delta = comultiply_element(S.quiver, Element.of_path(S.ctx, p))
+        if delta != delta.swap():
+            return False, p
     return True, None

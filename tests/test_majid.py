@@ -95,16 +95,12 @@ def test_action_not_degree1_rejected():
     ctx = field_context(2)
     group = cyclic_group(2)
     quiver = hopf_quiver(group, RamificationData.from_class_reps(group, [(1, 1)]))
-    bad = BimoduleAction(
-        ctx,
-        quiver,
-        {(0, 0): Element.of_path(ctx, quiver.vertex_path(0))},
-        {},
-    )
+    vertex = Element.of_path(ctx, quiver.vertex_path(0))
     with pytest.raises(ActionNotDegree1):
-        bad.validate_degree1()
+        BimoduleAction(ctx, quiver, {(0, 0): vertex}, {})
+    good = BimoduleAction(ctx, quiver, {(0, 0): Element.of_path(ctx, quiver.arrow_path(0))}, {})
     with pytest.raises(ActionNotDegree1):
-        verify_bimodule(group, trivial_cocycle(group, ctx), bad)
+        good.with_entry("right", (0, 0), vertex)
 
 
 def test_reassociator_extension():
@@ -390,7 +386,7 @@ def _combine(S, entries):
 
 
 def _assert_quasi_associativity_matches_oracle(S, cap):
-    rep = verify_majid_axioms(S, cap)
+    rep = verify_majid_axioms(S)
     got = [v.witness for v in rep.violations if v.check == "quasi_associativity"]
     witnesses, count = quasi_associativity_by_all_splits(S, cap)
     assert got == witnesses

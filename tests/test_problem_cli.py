@@ -201,6 +201,9 @@ def test_cli_zero_cocycle_entry_exits_2(tmp_path, capsys):
     assert "cocycle.values[1][1][1] is zero" in capsys.readouterr().err
 
 
+_NOT_DEGREE1 = "action.left: g=1 arrow=0: value is not homogeneous of degree 1"
+
+
 def _exit_code_of(tmp_path, data):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data))
@@ -231,10 +234,13 @@ def test_cli_out_of_range_action_key_exits_2(tmp_path, capsys, entry, named):
         ({"source": 9, "arrows": [], "coeff": "1"}, "no vertex 9"),
         ({"arrow": 99, "coeff": "1"}, "no arrow 99"),
         ({"arrow": "0", "coeff": "1"}, "no arrow '0'"),
+        ({"source": 1, "arrows": [1, 0], "coeff": "1"}, _NOT_DEGREE1),
+        ({"source": 0, "arrows": [], "coeff": "1"}, _NOT_DEGREE1),
     ],
     ids=[
         "negative_arrow", "arrow_outside_quiver", "vertex_outside_group",
         "short_form_arrow_outside_quiver", "short_form_string_arrow",
+        "two_arrow_path", "vertex_path",
     ],
 )
 def test_cli_out_of_range_action_value_exits_2(tmp_path, capsys, term, named):
@@ -366,6 +372,20 @@ def test_cli_primitives_task(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["tasks"]["primitives"]["ok"] is True
     assert report["tasks"]["primitives"]["loops"] == [0, 1]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+@pytest.mark.parametrize("task", ["primitives", "report"])
+def test_cli_primitives_below_cap_3_reports_failure(tmp_path, task, cap):
+    code = run_cli(
+        "run", "--spec", str(SPECS_DIR / "one_vertex_2_loop.json"),
+        "--task", task, "--degree-cap", str(cap), "--out", str(tmp_path),
+    )
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    res = report["tasks"]["primitives"]
+    assert res["ok"] is False
+    assert res["error"] == f"operation needs degree 3 but the structure is capped at {cap}"
 
 
 def test_cli_antipode_task(tmp_path, capsys):
