@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 BUDGET_S = 60
-MAX_CAP = 12
+MAX_CAP = 16
 
 ROOT = Path(__file__).resolve().parents[1]
 SPECS = ROOT / "specs"

@@ -135,6 +135,19 @@ def _run_primitives(spec: ProblemSpec, structure: MajidStructure) -> dict:
     return data
 
 
+def _run_operation(spec: ProblemSpec, structure: MajidStructure, exprs: dict,
+                   compute) -> dict:
+    """A `multiply` or `antipode` task: `compute()` parses the expressions and
+    applies the operation.  An expression that needs a degree above the cap
+    fails the task, not the run."""
+    try:
+        value = compute()
+    except DegreeCapExceeded as exc:
+        return {**exprs, "ok": False, "error": str(exc)}
+    print(value.format(spec.quiver))
+    return {**exprs, "result": value.to_json(), "text": value.format(spec.quiver), "ok": True}
+
+
 def run_tasks(spec: ProblemSpec, tasks: tuple[str, ...], args) -> tuple[dict, bool]:
     """Execute tasks in dependency order; returns (report dict, all ok)."""
     structure = spec.structure()
@@ -163,29 +176,14 @@ def run_tasks(spec: ProblemSpec, tasks: tuple[str, ...], args) -> tuple[dict, bo
         elif task == "multiply":
             if not (args and args.lhs and args.rhs):
                 raise SpecError("task 'multiply' needs --lhs and --rhs expressions")
-            lhs = parse_element(args.lhs, structure)
-            rhs = parse_element(args.rhs, structure)
-            product = structure.multiply(lhs, rhs)
-            res = {
-                "lhs": args.lhs,
-                "rhs": args.rhs,
-                "result": product.to_json(),
-                "text": product.format(spec.quiver),
-                "ok": True,
-            }
-            print(product.format(spec.quiver))
+            res = _run_operation(spec, structure, {"lhs": args.lhs, "rhs": args.rhs},
+                                 lambda: structure.multiply(parse_element(args.lhs, structure),
+                                                            parse_element(args.rhs, structure)))
         elif task == "antipode":
             if not (args and args.arg):
                 raise SpecError("task 'antipode' needs an --arg expression")
-            x = parse_element(args.arg, structure)
-            image = structure.antipode(x)
-            res = {
-                "arg": args.arg,
-                "result": image.to_json(),
-                "text": image.format(spec.quiver),
-                "ok": True,
-            }
-            print(image.format(spec.quiver))
+            res = _run_operation(spec, structure, {"arg": args.arg},
+                                 lambda: structure.antipode(parse_element(args.arg, structure)))
         elif task == "decompose":
             res = _run_decompose(spec, structure)
         elif task == "crossed_product":

@@ -47,9 +47,9 @@ class MalformedCocycleTable(HopfQuiverError):
 
 
 class ActionNotDegree1(HopfQuiverError):
-    def __init__(self, key, detail=""):
+    def __init__(self, key):
         self.key = key
-        super().__init__(f"action value at {key} is not homogeneous of degree 1 {detail}".rstrip())
+        super().__init__(f"action value at {key} is not homogeneous of degree 1")
 
 
 class DegreeCapExceeded(HopfQuiverError):

@@ -328,12 +328,14 @@ def _conjugate(structure: MajidStructure, u: int, q: Path) -> Element:
     return S.multiply(S.vertex(u), qu)
 
 
-def _transport_rhs(structure: MajidStructure, p: Path, u: int, q: Path, v: int) -> Element:
-    """Image in H of (p (x) u)(q (x) v) under p (x) u -> p u; the second slot
-    sigma(u, v) uv-bar is the single group element uv."""
+def _transport_rhs(structure: MajidStructure, p: Path, u_q: Element, uv: int,
+                   factor: Scalar) -> Element:
+    """Image in H of (p (x) u)(q (x) v) under p (x) u -> p u, given u_q = u |> q
+    and factor = Theta(p, q, u, v); the second slot sigma(u, v) uv-bar is the
+    single group element uv."""
     S = structure
-    core = S.multiply(Element.of_path(S.ctx, p), _conjugate(S, u, q))
-    return S.multiply(core, S.vertex(S.group.mul(u, v))).scale(theta(S, p, q, u, v))
+    core = S.multiply(Element.of_path(S.ctx, p), u_q)
+    return S.multiply(core, S.vertex(uv)).scale(factor)
 
 
 def crossed_product(structure: MajidStructure) -> CrossedProduct:
@@ -341,6 +343,8 @@ def crossed_product(structure: MajidStructure) -> CrossedProduct:
     the isomorphism p u -> p (x) u on all basis pairs of total degree up to
     the cap.
 
+    Each translation p u, each conjugate u |> q and each Theta value (which
+    reads only the end vertices of p and q) is computed once per call.
     Raises IsoCheckFailed with the first pair that does not transport (which
     would indicate an implementation defect, not a failure of the theory).
     """
@@ -365,9 +369,20 @@ def crossed_product(structure: MajidStructure) -> CrossedProduct:
         for u in reps
         for v in reps
     ]
+    translated: dict[tuple[Path, int], Element] = {}
+    conjugated: dict[tuple[int, Path], Element] = {}
+    thetas: dict[tuple[int, ...], Scalar] = {}
     for p, u, q, v in pairs:
-        lhs = S.multiply(translate(S, p, u), translate(S, q, v))
-        if lhs != _transport_rhs(S, p, u, q, v):
+        for key in ((p, u), (q, v)):
+            if key not in translated:
+                translated[key] = translate(S, *key)
+        if (u, q) not in conjugated:
+            conjugated[(u, q)] = _conjugate(S, u, q)
+        ends = (p.source, p.target, q.source, q.target, u, v)
+        if ends not in thetas:
+            thetas[ends] = theta(S, p, q, u, v)
+        lhs = S.multiply(translated[(p, u)], translated[(q, v)])
+        if lhs != _transport_rhs(S, p, conjugated[(u, q)], g.mul(u, v), thetas[ends]):
             raise IsoCheckFailed((p, u, q, v))
     report = VerificationReport()
     report.tally("crossed_product_transport", len(pairs))

@@ -4,7 +4,9 @@ They are the literal definitions, which `src` computes by shorter routes:
 Delta of one path as a tensor, the componentwise comultiplication of a
 tensor of paths, its iteration on the rightmost block, and the graded
 product M_n = M_1^(x n) o Delta_2^(n-1) read off that iteration;
-quasi-associativity (2.1) summed over every split triple; and Q(zeta_m)
+quasi-associativity (2.1) summed over every split triple; the
+normalization (2.4) on every basis pair and the antipode functionals (2.6)
+on every basis path, which `src` evaluates on vertices only; and Q(zeta_m)
 arithmetic on tuples of Fraction coordinates, which `src` does on integer
 numerators over one denominator; and the 3-cocycle sweep with every product
 computed on scalars, which `src` computes once per pair of distinct values.
@@ -20,7 +22,7 @@ from fractions import Fraction
 from hopfquiver import Element, Path, TensorElement, cyclotomic_polynomial
 from hopfquiver.errors import ZeroCocycleValue
 from hopfquiver.report import VerificationReport
-from hopfquiver.pathcoalg import path_splits
+from hopfquiver.pathcoalg import counit, path_splits
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -156,6 +158,47 @@ def quasi_associativity_by_all_splits(S, cap):
                 if lhs != rhs:
                     witnesses.append((p, q, r))
     return witnesses, count
+
+
+def vanishing_axioms_by_full_sweep(S):
+    """(2.4) on every pair of basis paths and (2.6) on every five-fold split
+    of every basis path, both sides evaluated with the extended reassociator
+    and functionals.  Returns a report with the same check names, witness
+    order and tallies as `verify_majid_axioms`."""
+    ctx = S.ctx
+    basis = S.basis_up_to()
+    element = {p: Element.of_path(ctx, p) for p in basis}
+    eps = {p: counit(x) for p, x in element.items()}
+    report = VerificationReport()
+
+    middle = S.vertex(S.group.identity)
+    for p, xe in element.items():
+        for q, ye in element.items():
+            if S.reassociator(xe, middle, ye) != eps[p] * eps[q]:
+                report.add("normalization_middle_unit", (p, q))
+    report.tally("normalization_middle_unit", len(basis) ** 2)
+
+    for p in basis:
+        total_fwd = ctx.zero()
+        total_inv = ctx.zero()
+        for t1, t2, t3, t4, t5 in path_splits(S.quiver, p, 5):
+            bv = S.beta_of_path(t2)
+            if t4.is_vertex() and not bv.is_zero():
+                total_fwd = total_fwd + bv * S.reassociator(
+                    element[t1], S.antipode_path(t3), element[t5]
+                )
+            bv2 = S.beta_of_path(t4)
+            if t2.is_vertex() and not bv2.is_zero():
+                total_inv = total_inv + bv2 * S.reassociator_inverse(
+                    S.antipode_path(t1), element[t3], S.antipode_path(t5)
+                )
+        if total_fwd != eps[p]:
+            report.add("antipode_functional_forward", (p,))
+        if total_inv != eps[p]:
+            report.add("antipode_functional_inverse", (p,))
+    report.tally("antipode_functional_forward", len(basis))
+    report.tally("antipode_functional_inverse", len(basis))
+    return report
 
 
 def theta_third_unswapped(S, p, q, u, v):

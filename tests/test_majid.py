@@ -33,7 +33,7 @@ from conftest import (
     make_z4_blocks_structure,
     structure_at,
 )
-from oracles import quasi_associativity_by_all_splits
+from oracles import quasi_associativity_by_all_splits, vanishing_axioms_by_full_sweep
 
 
 # -- bimodule verification -----------------------------------------------------
@@ -408,6 +408,59 @@ def test_quasi_associativity_matches_all_splits_oracle_on_doubled_entries():
         T = MajidStructure(S.quiver, S.phi, S.action.with_entry(side, key, value.scale(two)), 3)
         flagged += bool(_assert_quasi_associativity_matches_oracle(T, 3))
     assert flagged > 0
+
+
+_VANISHING_CHECKS = (
+    "normalization_middle_unit",
+    "antipode_functional_forward",
+    "antipode_functional_inverse",
+)
+
+
+def _vanishing_part(rep):
+    """The (2.4) and (2.6) violations, in report order, and their tallies."""
+    return (
+        [(v.check, v.witness) for v in rep.violations if v.check in _VANISHING_CHECKS],
+        {name: rep.counts[name] for name in _VANISHING_CHECKS},
+    )
+
+
+def _assert_vanishing_axioms_match_oracle(S):
+    got = _vanishing_part(verify_majid_axioms(S))
+    assert got == _vanishing_part(vanishing_axioms_by_full_sweep(S))
+    return got[0]
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS_DIR.glob("*.json")))
+def test_vanishing_axioms_match_full_sweep_oracle(name, cap):
+    S = structure_at(SPECS_DIR / f"{name}.json", cap)
+    assert _assert_vanishing_axioms_match_oracle(S) == []
+
+
+def test_vanishing_axioms_match_full_sweep_oracle_on_doubled_cocycle_entries():
+    """Doubling each entry of the Z_2 sign cocycle in turn: the vertex-only
+    (2.4) and (2.6) report what the full sweeps report, and between them the
+    mutants fire (2.4) at every vertex pair and (2.6) at every vertex."""
+    S = structure_at(SPECS_DIR / "z2_nontrivial_cocycle.json", 2)
+    two = S.ctx.scalar(2)
+    vertex = S.quiver.vertex_path
+    fired = {}
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                phi = S.phi.with_entry(a, b, c, S.phi(a, b, c) * two)
+                T = MajidStructure(S.quiver, phi, S.action, 2)
+                fired[(a, b, c)] = _assert_vanishing_axioms_match_oracle(T)
+    assert ("normalization_middle_unit", (vertex(1), vertex(1))) in fired[(1, 0, 1)]
+    assert ("antipode_functional_inverse", (vertex(1),)) in fired[(1, 1, 1)]
+    witnesses = {w for found in fired.values() for w in found}
+    for u in range(2):
+        assert ("antipode_functional_inverse", (vertex(u),)) in witnesses
+        for v in range(2):
+            assert ("normalization_middle_unit", (vertex(u), vertex(v))) in witnesses
+    # beta(g) Phi(g, g^-1, g) = 1 by the definition of beta
+    assert all(check != "antipode_functional_forward" for check, _ in witnesses)
 
 
 def test_multiplication_and_antipode_linear():

@@ -388,6 +388,27 @@ def test_cli_primitives_below_cap_3_reports_failure(tmp_path, task, cap):
     assert res["error"] == f"operation needs degree 3 but the structure is capped at {cap}"
 
 
+@pytest.mark.parametrize("task, exprs, needed", [
+    ("multiply", ["--lhs", "a0*a1", "--rhs", "a0"], 3),
+    ("antipode", ["--arg", "a0*a1*a0"], 3),
+])
+def test_cli_over_cap_operation_still_reports(tmp_path, task, exprs, needed):
+    """An operation above the cap fails its own task; the report is written
+    and keeps the tasks that ran before it."""
+    code = run_cli(
+        "run", "--spec", str(SPECS_DIR / "one_vertex_2_loop.json"),
+        "--task", "verify", "--task", task, *exprs,
+        "--degree-cap", "2", "--out", str(tmp_path),
+    )
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["tasks"]["verify"]["ok"] is True
+    res = report["tasks"][task]
+    assert res["ok"] is False
+    assert res["error"] == f"operation needs degree {needed} but the structure is capped at 2"
+    assert report["ok"] is False
+
+
 def test_cli_antipode_task(tmp_path, capsys):
     code = run_cli(
         "run", "--spec", str(SPECS_DIR / "z2_taft.json"),

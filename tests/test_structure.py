@@ -262,7 +262,8 @@ def test_crossed_product_product_entries():
     core = _conjugate(S, 1, e)
     assert core == S.vertex(g.mul(1, g.mul(e.source, g.inv(1))))
     # (e (x) 1)(e (x) 1) = Theta e (1 |> e) (x) sigma(1, 1) 1-bar, read in H
-    assert _transport_rhs(S, e, 1, e, 1) == S.multiply(core, S.vertex(g.mul(1, 1)))
+    rhs = _transport_rhs(S, e, core, g.mul(1, 1), theta(S, e, e, 1, 1))
+    assert rhs == S.multiply(core, S.vertex(g.mul(1, 1)))
 
 
 # -- primitives and cocommutativity -------------------------------------------------
