@@ -135,8 +135,7 @@ def _run_primitives(spec: ProblemSpec, structure: MajidStructure) -> dict:
     return data
 
 
-def _run_operation(spec: ProblemSpec, structure: MajidStructure, exprs: dict,
-                   compute) -> dict:
+def _run_operation(spec: ProblemSpec, exprs: dict, compute) -> dict:
     """A `multiply` or `antipode` task: `compute()` parses the expressions and
     applies the operation.  An expression that needs a degree above the cap
     fails the task, not the run."""
@@ -144,8 +143,9 @@ def _run_operation(spec: ProblemSpec, structure: MajidStructure, exprs: dict,
         value = compute()
     except DegreeCapExceeded as exc:
         return {**exprs, "ok": False, "error": str(exc)}
-    print(value.format(spec.quiver))
-    return {**exprs, "result": value.to_json(), "text": value.format(spec.quiver), "ok": True}
+    text = value.format(spec.quiver)
+    print(text)
+    return {**exprs, "result": value.to_json(), "text": text, "ok": True}
 
 
 def run_tasks(spec: ProblemSpec, tasks: tuple[str, ...], args) -> tuple[dict, bool]:
@@ -176,13 +176,13 @@ def run_tasks(spec: ProblemSpec, tasks: tuple[str, ...], args) -> tuple[dict, bo
         elif task == "multiply":
             if not (args and args.lhs and args.rhs):
                 raise SpecError("task 'multiply' needs --lhs and --rhs expressions")
-            res = _run_operation(spec, structure, {"lhs": args.lhs, "rhs": args.rhs},
+            res = _run_operation(spec, {"lhs": args.lhs, "rhs": args.rhs},
                                  lambda: structure.multiply(parse_element(args.lhs, structure),
                                                             parse_element(args.rhs, structure)))
         elif task == "antipode":
             if not (args and args.arg):
                 raise SpecError("task 'antipode' needs an --arg expression")
-            res = _run_operation(spec, structure, {"arg": args.arg},
+            res = _run_operation(spec, {"arg": args.arg},
                                  lambda: structure.antipode(parse_element(args.arg, structure)))
         elif task == "decompose":
             res = _run_decompose(spec, structure)
