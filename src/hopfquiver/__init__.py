@@ -19,7 +19,7 @@ from .groups import (
     verify_cocycle,
 )
 from .majid import BimoduleAction, MajidStructure, verify_bimodule, verify_majid_axioms
-from .pathcoalg import Element, TensorElement, counit
+from .pathcoalg import Element, counit
 from .quiver import (
     AbstractQuiver,
     HopfQuiver,
@@ -43,7 +43,6 @@ __all__ = [
     "Path",
     "RamificationData",
     "Scalar",
-    "TensorElement",
     "VerificationReport",
     "build_group",
     "cocycle_from_table",

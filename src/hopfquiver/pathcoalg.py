@@ -1,4 +1,5 @@
-"""The path coalgebra of a quiver: sparse elements, counit, comultiplication.
+"""The path coalgebra of a quiver: sparse path elements, counit,
+comultiplication, and the one coalgebra-map check `comultiplicative`.
 
 Comultiplication splits a path at every junction,
 
@@ -53,9 +54,6 @@ class Element:
     def support(self) -> list[Path]:
         return sorted(self.terms, key=Path.sort_key)
 
-    def coeff(self, path: Path) -> Scalar:
-        return self.terms.get(path, self.ctx.zero())
-
     def max_degree(self) -> int:
         return max((len(p.arrows) for p in self.terms), default=0)
 
@@ -90,9 +88,6 @@ class Element:
             and other.ctx.order == self.ctx.order
             and other.terms == self.terms
         )
-
-    def __hash__(self):
-        return hash((self.ctx.order, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"Element({self.format()})"
@@ -138,78 +133,6 @@ def element_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Iterable[dict
     return Element(ctx, terms)
 
 
-class TensorElement:
-    """A sparse combination of flat path tuples of a fixed arity k >= 1."""
-
-    __slots__ = ("ctx", "arity", "terms")
-
-    def __init__(self, ctx: FieldContext, arity: int, terms: Mapping[tuple, Scalar] | None = None):
-        if arity < 1:
-            raise ValueError("tensor arity must be >= 1")
-        self.ctx = ctx
-        self.arity = arity
-        clean: dict[tuple, Scalar] = {}
-        if terms:
-            for t, c in terms.items():
-                if len(t) != arity:
-                    raise ValueError(f"tuple {t} does not have arity {arity}")
-                if not c.is_zero():
-                    clean[t] = c
-        self.terms = clean
-
-    @staticmethod
-    def of(ctx: FieldContext, paths: tuple[Path, ...], coeff: Scalar | int = 1) -> "TensorElement":
-        c = coeff if isinstance(coeff, Scalar) else ctx.scalar(coeff)
-        return TensorElement(ctx, len(paths), {paths: c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self) -> list[tuple]:
-        return sorted(self.terms, key=lambda t: tuple(p.sort_key() for p in t))
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if other.arity != self.arity:
-            raise ValueError("cannot add tensors of different arity")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out[t] + c if t in out else c
-        return TensorElement(self.ctx, self.arity, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(-self.ctx.one())
-
-    def scale(self, scalar: Scalar) -> "TensorElement":
-        return TensorElement(
-            self.ctx, self.arity, {t: scalar * c for t, c in self.terms.items()}
-        )
-
-    def swap(self) -> "TensorElement":
-        """Reverse the tensor legs (used for cop-side comparisons)."""
-        return TensorElement(
-            self.ctx, self.arity, {tuple(reversed(t)): c for t, c in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and other.arity == self.arity
-            and other.ctx.order == self.ctx.order
-            and other.terms == self.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorElement(0)"
-        parts = []
-        for t in self.support():
-            c = self.terms[t]
-            name = " (x) ".join(_plain_path_name(p) for p in t)
-            cf = c.format()
-            parts.append(name if cf == "1" else f"({cf})*[{name}]")
-        return "TensorElement(" + " + ".join(parts) + ")"
-
-
 # ---------------------------------------------------------------------------
 # the coalgebra structure maps
 
@@ -230,24 +153,31 @@ def path_splits(quiver: HopfQuiver, p: Path, k: int = 2) -> list[tuple[Path, ...
     return [parts + (Path(p.source, arrows[:end], junctions[end]),) for parts, end in partial]
 
 
-def comultiply_element(quiver: HopfQuiver, x: Element) -> TensorElement:
-    out: dict[tuple, Scalar] = {}
+def comultiplicative(
+    quiver: HopfQuiver, x: Element, pairs: Iterable[tuple[Element, Element]]
+) -> bool:
+    """Is Delta(x) the sum of y (x) z over the (y, z) in `pairs`?
+
+    The one coalgebra-map check: f is a coalgebra map when this holds for
+    x = f(p) and the pairs (f(p1), f(p2)) over the splits of each basis
+    path p, and an anti-map with the pairs (f(p2), f(p1)).  Both sides are
+    `{(Path, Path): Scalar}` dicts, compared with zero terms dropped."""
+    lhs: dict[tuple[Path, Path], Scalar] = {}
     for p, c in x.terms.items():
         for pair in path_splits(quiver, p):
-            out[pair] = out[pair] + c if pair in out else c
-    return TensorElement(x.ctx, 2, out)
+            lhs[pair] = lhs[pair] + c if pair in lhs else c
+    rhs: dict[tuple[Path, Path], Scalar] = {}
+    for y, z in pairs:
+        for yp, yc in y.terms.items():
+            for zp, zc in z.terms.items():
+                key = (yp, zp)
+                c = yc * zc
+                rhs[key] = rhs[key] + c if key in rhs else c
+    return _nonzero(lhs) == _nonzero(rhs)
 
 
-def tensor_of_pairs(ctx: FieldContext, pairs: Iterable[tuple[Element, Element]]) -> TensorElement:
-    """The sum of x (x) y over the (x, y) in `pairs`."""
-    out: dict[tuple, Scalar] = {}
-    for x, y in pairs:
-        for xp, xc in x.terms.items():
-            for yp, yc in y.terms.items():
-                key = (xp, yp)
-                c = xc * yc
-                out[key] = out[key] + c if key in out else c
-    return TensorElement(ctx, 2, out)
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
 def counit(x: Element) -> Scalar:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from .cyclotomic import Scalar
 from .errors import DegreeCapExceeded, IsoCheckFailed, NotSingleVertex
 from .groups import subgroup_generated
-from .majid import MajidStructure
-from .pathcoalg import Element, TensorElement, comultiply_element, path_splits, tensor_of_pairs
+from .majid import MajidStructure, pairs_up_to
+from .pathcoalg import Element, comultiplicative, path_splits
 from .quiver import Path, connected_components
 from .report import VerificationReport
 
@@ -148,8 +148,9 @@ def verify_translations(structure: MajidStructure) -> VerificationReport:
     group = S.group
     quiver = S.quiver
     report = VerificationReport()
+    principal = dec.blocks[dec.principal_rep]
     by_degree: dict[int, list[Path]] = {}
-    for p in dec.blocks[dec.principal_rep]:
+    for p in principal:
         by_degree.setdefault(len(p.arrows), []).append(p)
 
     for g in group.elements():
@@ -158,14 +159,14 @@ def verify_translations(structure: MajidStructure) -> VerificationReport:
             d: [p for p in dec.blocks[target_rep] if len(p.arrows) == d]
             for d in by_degree
         }
+        # every split of a principal-block path is a principal-block path
+        image = {p: translate(S, p, g) for p in principal}
         for d, sources in sorted(by_degree.items()):
-            images = []
             cols = {p: i for i, p in enumerate(target_paths[d])}
             ok_support = True
             matrix = []
             for p in sources:
-                img = translate(S, p, g)
-                images.append(img)
+                img = image[p]
                 if not img.is_homogeneous(d):
                     report.add("translation_graded", (g, p), "image not homogeneous")
                 row = [S.ctx.zero()] * len(cols)
@@ -188,13 +189,10 @@ def verify_translations(structure: MajidStructure) -> VerificationReport:
                     )
             report.tally("translation_bijective", 1)
             # coalgebra morphism: Delta(p g) = sum p1 g (x) p2 g
-            for p, img in zip(sources, images):
-                lhs = comultiply_element(quiver, img)
-                rhs = tensor_of_pairs(S.ctx, (
-                    (translate(S, p1, g), translate(S, p2, g))
-                    for p1, p2 in path_splits(quiver, p)
-                ))
-                if lhs != rhs:
+            for p in sources:
+                if not comultiplicative(quiver, image[p], (
+                    (image[p1], image[p2]) for p1, p2 in path_splits(quiver, p)
+                )):
                     report.add("translation_comultiplicative", (g, p))
             report.tally("translation_comultiplicative", len(sources))
     return report
@@ -209,17 +207,13 @@ def block_product_check(structure: MajidStructure) -> VerificationReport:
     report = VerificationReport()
     basis = S.basis_up_to()
     count = 0
-    for p in basis:
-        for q in basis:
-            if len(p.arrows) + len(q.arrows) > S.degree_cap:
-                continue
-            count += 1
-            expected = dec.rep_of_vertex[group.mul(p.source, q.source)]
-            prod = S.multiply_paths(p, q)
-            for r in prod.terms:
-                if dec.rep_of_vertex[r.source] != expected:
-                    report.add("block_product", (p, q), f"term escapes block {expected}")
-                    break
+    for p, q in pairs_up_to(basis, S.degree_cap):
+        count += 1
+        expected = dec.rep_of_vertex[group.mul(p.source, q.source)]
+        for r in S.multiply_paths(p, q).terms:
+            if dec.rep_of_vertex[r.source] != expected:
+                report.add("block_product", (p, q), f"term escapes block {expected}")
+                break
     report.tally("block_product", count)
     for p in basis:
         expected = dec.rep_of_vertex[group.inv(p.source)]
@@ -360,12 +354,9 @@ def crossed_product(structure: MajidStructure) -> CrossedProduct:
             sigma[(u, v)] = g.mul(uv, g.inv(wbar))
     assert all(n in set(dec.normal_subgroup) for n in sigma.values())
 
-    principal = dec.blocks[dec.principal_rep]
     pairs = [
         (p, u, q, v)
-        for p in principal
-        for q in principal
-        if len(p.arrows) + len(q.arrows) <= S.degree_cap
+        for p, q in pairs_up_to(dec.blocks[dec.principal_rep], S.degree_cap)
         for u in reps
         for v in reps
     ]
@@ -424,20 +415,15 @@ def primitives(structure: MajidStructure) -> LieData:
         raise NotSingleVertex(S.quiver.num_vertices)
     if S.degree_cap < 3:
         raise DegreeCapExceeded(3, S.degree_cap)
-    ctx = S.ctx
     quiver = S.quiver
     report = VerificationReport()
     loops = tuple(a.index for a in quiver.arrows)
-    unit_path = quiver.vertex_path(0)
+    unit = S.unit()
 
     for idx in loops:
-        p = quiver.arrow_path(idx)
-        delta = comultiply_element(quiver, Element.of_path(ctx, p))
-        expected = TensorElement(
-            ctx, 2, {(p, unit_path): ctx.one(), (unit_path, p): ctx.one()}
-        )
-        if delta != expected:
-            report.add("primitive", (p,))
+        x = S.arrow(idx)
+        if not comultiplicative(quiver, x, [(x, unit), (unit, x)]):
+            report.add("primitive", (quiver.arrow_path(idx),))
     report.tally("primitive", len(loops))
 
     def bracket(x: Element, y: Element) -> Element:
@@ -494,8 +480,11 @@ def cocommutative_check(structure: MajidStructure) -> tuple[bool, Path | None]:
     """Is Delta = Delta^op on all basis paths up to the cap?  Scans degrees
     in ascending order and returns the first witness path on failure."""
     S = structure
+    ctx = S.ctx
     for p in S.basis_up_to():
-        delta = comultiply_element(S.quiver, Element.of_path(S.ctx, p))
-        if delta != delta.swap():
+        if not comultiplicative(S.quiver, Element.of_path(ctx, p), (
+            (Element.of_path(ctx, p2), Element.of_path(ctx, p1))
+            for p1, p2 in path_splits(S.quiver, p)
+        )):
             return False, p
     return True, None

@@ -19,7 +19,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from hopfquiver import Element, Path, TensorElement, cyclotomic_polynomial
+from hopfquiver import Element, Path, cyclotomic_polynomial
 from hopfquiver.errors import ZeroCocycleValue
 from hopfquiver.report import VerificationReport
 from hopfquiver.pathcoalg import counit, path_splits
@@ -40,18 +40,21 @@ def _split_each(quiver, tup):
 
 
 def comultiply(ctx, quiver, p):
-    """Delta of a single path: its n+1 splits, all with coefficient 1."""
+    """Delta of a single path: its n+1 splits, all with coefficient 1.
+
+    Here and below a tensor is a `{tuple of paths: Scalar}` dict; every
+    coefficient is a positive count, so no zero terms arise."""
     one = ctx.one()
-    return TensorElement(ctx, 2, {pair: one for pair in path_splits(quiver, p)})
+    return {pair: one for pair in path_splits(quiver, p)}
 
 
 def oracle_tensor_comultiply(ctx, quiver, tensor):
     """Independent one-step expansion: Delta on each component, interleaved."""
     out = {}
-    for tup, coeff in tensor.terms.items():
+    for tup, coeff in tensor.items():
         for key in _split_each(quiver, tup):
             out[key] = out.get(key, ctx.zero()) + coeff
-    return TensorElement(ctx, 2 * tensor.arity, out)
+    return out
 
 
 def _expand_rightmost(quiver, terms, block, steps):
@@ -65,13 +68,13 @@ def _expand_rightmost(quiver, terms, block, steps):
     return terms
 
 
-def rightmost_iteration(ctx, quiver, tensor, block, steps):
+def rightmost_iteration(quiver, tensor, block, steps):
     """Apply the comultiplication of the arity-`block` tensor coalgebra
     `steps` times, always to the rightmost `block` legs."""
     out = {}
-    for key, c in _expand_rightmost(quiver, tensor.terms.items(), block, steps):
+    for key, c in _expand_rightmost(quiver, tensor.items(), block, steps):
         out[key] = out[key] + c if key in out else c
-    return TensorElement(ctx, tensor.arity + block * steps, out)
+    return out
 
 
 def m1_pair(S, x, y):

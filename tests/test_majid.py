@@ -23,6 +23,7 @@ from hopfquiver.actions import cyclic_action_from_seeds, taft_action
 from hopfquiver.errors import ActionNotDegree1, DegreeCapExceeded
 from hopfquiver.majid import BimoduleAction, MajidStructure
 from hopfquiver.pathcoalg import counit
+from hopfquiver.structure import verify_translations
 
 from conftest import (
     SPECS_DIR,
@@ -349,6 +350,28 @@ def test_axioms_on_group_algebra_only():
     rep = verify_majid_axioms(S)
     assert rep.ok, rep.summary()
     assert sum(rep.counts.values()) > 0
+
+
+@pytest.mark.parametrize("side, key, arrow, check", [
+    ("left", (0, 0), 1, "multiplication_comultiplicative"),
+    ("left", (0, 1), 0, "antipode_antimorphism"),
+    ("right", (0, 0), 1, "translation_comultiplicative"),
+])
+def test_coalgebra_map_checks_fire_on_mutants(side, key, arrow, check):
+    """Each coalgebra-map check fires on one single-entry mutant of the Z_2
+    Taft action (trivial cocycle, Q(i), cap 3) that sends an arrow to the
+    other arrow."""
+    ctx = field_context(4)
+    group = cyclic_group(2)
+    quiver = hopf_quiver(group, RamificationData.from_class_reps(group, [(1, 1)]))
+    phi = trivial_cocycle(group, ctx)
+    action = taft_action(quiver, phi, ctx.scalar(-1))
+    S = MajidStructure(quiver, phi, action, 3)
+    assert verify_majid_axioms(S).ok and verify_translations(S).ok
+    mutant = action.with_entry(side, key, Element.of_path(ctx, quiver.arrow_path(arrow)))
+    T = MajidStructure(quiver, phi, mutant, 3)
+    fired = verify_majid_axioms(T).violations + verify_translations(T).violations
+    assert check in {v.check for v in fired}
 
 
 def test_corrupted_action_detected_by_axioms():
