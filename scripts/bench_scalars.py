@@ -8,7 +8,11 @@ cocycles; k = 0 would give 1, which the unit rows time) and
 `rationals` pairs of random coordinate vectors with numerators in [-9, 9]
 and denominators in [1, 6].  Each figure is the median, over REPEATS
 timed runs of LOOPS loops, of the mean time of one `a * b` (or one
-`a.inverse()`, timed over a tenth of the loops) in microseconds.  The unit
+`a.inverse()`, timed over a tenth of the loops) in microseconds.  The
+`times_*` rows time the memoized product `a.times(b)` on the same pairs:
+`times_*_hit_us` in the same repeated loop, where all but the first call
+of a pair hit the memo, and `times_*_miss_us` on each distinct pair once, on
+a fresh `FieldContext(m)` per repeat, so every call misses.  The unit
 rows time `1 * x`, `x * 1` and `x / 1` for the `rationals` operands `x`.
 The cocycle rows time, for each n in COCYCLE_ORDERS, `verify_cocycle` on
 the standard Z_n cocycle over Q(zeta_n), `cocycle_from_table` on the same
@@ -19,11 +23,11 @@ The many-valued rows, for each n in TWISTED_ORDERS, do the same for
 normalized 2-cochain with rational values fixed by SEED, a table with
 nearly one value per entry.  Each `*_peak_kb` figure is the tracemalloc
 peak of one more call, in KiB, counting what the call allocates.
-Only the public API is used (`field_context`, `root_of_unity`, `scalar`,
-`one`, `*`, `/`, `inverse`, `to_json`, `mul`, `identity`,
-`standard_cyclic_cocycle`, `cocycle_from_table`, `verify_cocycle`), so the
-script times any checkout's `hopfquiver`, and records that checkout's git
-commit.
+Only the public API is used (`FieldContext`, `field_context`,
+`root_of_unity`, `scalar`, `one`, `*`, `times`, `/`, `inverse`, `to_json`,
+`mul`, `identity`, `standard_cyclic_cocycle`, `cocycle_from_table`,
+`verify_cocycle`), so the script times any checkout's `hopfquiver` that
+has `Scalar.times`, and records that checkout's git commit.
 
 Run from the repository root:
 
@@ -47,6 +51,7 @@ from pathlib import Path
 
 import hopfquiver
 from hopfquiver import (
+    FieldContext,
     cocycle_from_table,
     field_context,
     standard_cyclic_cocycle,
@@ -91,6 +96,22 @@ def time_us(fn, pairs: list, loops: int, repeats: int) -> float:
             for a, b in pairs:
                 fn(a, b)
         samples.append((time.perf_counter() - start) / (loops * len(pairs)) * 1e6)
+    return statistics.median(samples)
+
+
+def time_miss_us(m: int, pairs: list) -> float:
+    """Median over REPEATS of the mean microseconds of one `a.times(b)` that
+    misses the product memo: each distinct pair once, copied into a fresh
+    FieldContext(m) per repeat."""
+    distinct = list(dict.fromkeys(pairs))
+    samples = []
+    for _ in range(REPEATS):
+        ctx = FieldContext(m)
+        fresh = [(ctx.scalar(a.to_json()), ctx.scalar(b.to_json())) for a, b in distinct]
+        start = time.perf_counter()
+        for a, b in fresh:
+            a.times(b)
+        samples.append((time.perf_counter() - start) / len(fresh) * 1e6)
     return statistics.median(samples)
 
 
@@ -193,6 +214,8 @@ def run() -> dict:
         for kind in ("roots", "rationals"):
             pairs = operands(m, kind, rng)
             row[f"mul_{kind}_us"] = time_us(lambda a, b: a * b, pairs, LOOPS, REPEATS)
+            row[f"times_{kind}_hit_us"] = time_us(lambda a, b: a.times(b), pairs, LOOPS, REPEATS)
+            row[f"times_{kind}_miss_us"] = time_miss_us(m, pairs)
             row[f"inverse_{kind}_us"] = time_us(
                 lambda a, b: a.inverse(), pairs, LOOPS // 10, REPEATS
             )

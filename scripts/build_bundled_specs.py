@@ -13,6 +13,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hopfquiver import (  # noqa: E402
+    BimoduleAction,
+    Element,
     RamificationData,
     cyclic_group,
     field_context,
@@ -64,6 +66,31 @@ def taft(n: int, class_rep: int = 1):
     return taft_action(quiver(group, class_rep), trivial_cocycle(group, ctx), ctx.root_of_unity(1))
 
 
+def two_slot(action, doubled):
+    """The direct sum of two copies of `action`, a one-slot action: the same
+    tables on `doubled`, its quiver with multiplicity 2, with every entry
+    repeated on slot 1.  A direct sum of Majid bimodules is one."""
+    single = action.quiver
+    index = {(a.source, a.class_elt, a.slot): a.index for a in doubled.arrows}
+
+    def arrow_in(slot, idx):
+        a = single.arrow(idx)
+        return index[(a.source, a.class_elt, slot)]
+
+    def value_in(slot, v):
+        return Element(action.ctx, {
+            doubled.arrow_path(arrow_in(slot, p.arrows[0])): c for p, c in v.terms.items()
+        })
+
+    left, right = {}, {}
+    for slot in (0, 1):
+        for (g, a), v in action.left.items():
+            left[(g, arrow_in(slot, a))] = value_in(slot, v)
+        for (a, g), v in action.right.items():
+            right[(arrow_in(slot, a), g)] = value_in(slot, v)
+    return BimoduleAction(action.ctx, doubled, left, right)
+
+
 def main():
     for n in (2, 3, 4):
         write_spec(f"z{n}_taft.json", taft(n), TRIVIAL, 4, ["verify"])
@@ -78,6 +105,12 @@ def main():
     )
     cocycle = {"kind": "cyclic_standard", "n": 2, "zeta_power": 1}
     write_spec("z2_nontrivial_cocycle.json", action, cocycle, 4, ["verify"])
+
+    # the same data on two arrows per vertex: two copies of that bimodule
+    write_spec(
+        "z2_two_slot_nontrivial_cocycle.json",
+        two_slot(action, quiver(group, 1, 2)), cocycle, 4, BLOCK_TASKS,
+    )
 
     # Z_4 ramified at g^2 (two blocks), trivial cocycle, q = i
     write_spec("z4_two_blocks_trivial.json", taft(4, class_rep=2), TRIVIAL, 3, BLOCK_TASKS)

@@ -18,6 +18,15 @@ units k != 1 mod m, N(x) = x * c is a rational integer and x^-1 = c / N(x).
 Most scalars in practice are exactly 1, and canonical form gives 1 a single
 representation (1, 0, ..., 0)/1: `is_one` is a tuple comparison, and a unit
 factor or the inverse of 1 returns an operand unchanged (exact and canonical).
+
+The path-algebra kernels multiply structure constants (action entries,
+cocycle values, product coefficients) drawn from a few hundred distinct
+values, so they multiply through `Scalar.times`, which looks the product up
+in a memo on the `FieldContext`, keyed by both operands' numerators and
+denominators and cleared once it holds PRODUCT_MEMO_SIZE entries.  `*` stays
+a direct product: the callers of `*` (the 3-cocycle check on a table with
+nearly one value per entry, inverses, powers) rarely repeat an operand pair,
+and a memo there would only add a lookup and hold the products.
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ from typing import Sequence, Union
 from .errors import FieldDivisionError
 
 RationalLike = Union[int, str, Fraction]
+
+# the most products one context memoizes for `Scalar.times` before it starts over
+PRODUCT_MEMO_SIZE = 4096
 
 
 def _exact_poly_div(num: list[int], den: Sequence[int]) -> list[int]:
@@ -81,7 +93,7 @@ def _parse_rational(v: RationalLike) -> tuple[int, int]:
 class FieldContext:
     """Shared context for scalars of one cyclotomic order m."""
 
-    __slots__ = ("order", "degree", "modulus", "_tail", "_conjugators", "_one")
+    __slots__ = ("order", "degree", "modulus", "_tail", "_conjugators", "_one", "_products")
 
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 1:
@@ -98,6 +110,8 @@ class FieldContext:
             if gcd(k, m) == 1
         )
         self._one = Scalar(self, (1,) + (0,) * (self.degree - 1), 1)
+        # (a.num, a.den, b.num, b.den) -> a * b, for `Scalar.times`
+        self._products: dict[tuple, Scalar] = {}
 
     def __eq__(self, other):
         return isinstance(other, FieldContext) and other.order == self.order
@@ -236,7 +250,8 @@ class Scalar:
         return self.ctx.scalar(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if type(other) is not Scalar or other.ctx is not self.ctx:
+            other = self._coerce(other)
         da, db = self.den, other.den
         if da == db:
             return _canonical(self.ctx, tuple(a + b for a, b in zip(self.num, other.num)), da)
@@ -258,8 +273,9 @@ class Scalar:
 
     def __mul__(self, other):
         """The product; a unit factor (tested after `_coerce`) returns the other."""
-        other = self._coerce(other)
         ctx = self.ctx
+        if type(other) is not Scalar or other.ctx is not ctx:
+            other = self._coerce(other)
         if self.den == 1 and self.num == ctx._one.num:
             return other
         if other.den == 1 and other.num == ctx._one.num:
@@ -267,6 +283,28 @@ class Scalar:
         return _canonical(ctx, ctx._mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
+
+    def times(self, other: "Scalar") -> "Scalar":
+        """`self * other`, memoized on the field context (see the module
+        docstring).  A unit factor returns the other before any key is built;
+        an operand of another context object goes to `*`, which checks the
+        order."""
+        ctx = self.ctx
+        if type(other) is not Scalar or other.ctx is not ctx:
+            return self * other
+        one = ctx._one.num
+        if self.den == 1 and self.num == one:
+            return other
+        if other.den == 1 and other.num == one:
+            return self
+        key = (self.num, self.den, other.num, other.den)
+        memo = ctx._products
+        out = memo.get(key)
+        if out is None:
+            if len(memo) >= PRODUCT_MEMO_SIZE:
+                memo.clear()
+            out = memo[key] = _canonical(ctx, ctx._mul(self.num, other.num), self.den * other.den)
+        return out
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse through the field norm: with c the product

@@ -55,7 +55,7 @@ from typing import Mapping
 from .cyclotomic import FieldContext, Scalar
 from .errors import ActionNotDegree1, DegreeCapExceeded, SpecError
 from .groups import Cocycle3, FiniteGroup
-from .pathcoalg import Element, add_scaled, comultiplicative, counit, path_splits
+from .pathcoalg import Element, add_scaled, comultiplicative, counit, nonzero_terms, path_splits
 from .quiver import HopfQuiver, Path
 from .report import VerificationReport
 
@@ -244,8 +244,9 @@ class MajidStructure:
     """The graded Majid algebra on kQ built from (quiver, Phi, action),
     truncated at the degree cap.
 
-    Products and antipodes of basis paths are memoized; the caches behave as
-    pure memos, so shared concurrent reads stay consistent.
+    Products, antipodes and the comultiplication (`splits`) of basis paths
+    are memoized, each filled on first use; the caches behave as pure memos,
+    so shared concurrent reads stay consistent.
     """
 
     def __init__(
@@ -277,6 +278,7 @@ class MajidStructure:
         self._mul_cache: dict[tuple[Path, Path], Element] = {}
         self._antipode_cache: dict[Path, Element] = {}
         self._s1_cache: dict[int, Element] = {}
+        self._splits_cache: dict[Path, list[tuple[Path, Path]]] = {}
 
     # -- bases ---------------------------------------------------------------
 
@@ -295,6 +297,13 @@ class MajidStructure:
 
     def arrow(self, index: int) -> Element:
         return Element.of_path(self.ctx, self.quiver.arrow_path(index))
+
+    def splits(self, p: Path) -> list[tuple[Path, Path]]:
+        """Delta(p) as its (later, earlier) splits: `path_splits`, memoized."""
+        out = self._splits_cache.get(p)
+        if out is None:
+            out = self._splits_cache[p] = path_splits(self.quiver, p)
+        return out
 
     # -- the functionals ------------------------------------------------------
 
@@ -423,7 +432,7 @@ def _glue(partial: dict[Path, Scalar] | None, leg: Element) -> dict[Path, Scalar
         for ap, c2 in leg.terms.items():
             if ap.source == path.target:
                 np = Path(path.source, path.arrows + ap.arrows, ap.target)
-                add = c * c2
+                add = c.times(c2)
                 out[np] = out[np] + add if np in out else add
     return out
 
@@ -440,16 +449,6 @@ def pairs_up_to(paths: list[Path], cap: int):
     for p in paths:
         for q in paths[:bisect_right(degrees, cap - len(p.arrows))]:
             yield p, q
-
-
-def _triples_up_to(structure: MajidStructure):
-    """The basis triples (p, q, r) of total degree <= cap, in basis order:
-    `prefix[d]` holds the basis paths of degree <= d."""
-    cap = structure.degree_cap
-    prefix = [structure.basis_up_to(d) for d in range(cap + 1)]
-    for p, q in pairs_up_to(prefix[cap], cap):
-        for r in prefix[cap - len(p.arrows) - len(q.arrows)]:
-            yield p, q, r
 
 
 def verify_majid_axioms(structure: MajidStructure,
@@ -478,7 +477,6 @@ def verify_majid_axioms(structure: MajidStructure,
     group = S.group
     report = VerificationReport()
     basis = S.basis_up_to()
-    splits = {p: path_splits(quiver, p) for p in basis}
     element = {p: Element.of_path(ctx, p) for p in basis}
     eps = {p: counit(x) for p, x in element.items()}
     vertices = S.basis_up_to(0)
@@ -490,20 +488,29 @@ def verify_majid_axioms(structure: MajidStructure,
     # Phi vanishes on a split triple unless its three reassociator legs are
     # vertices, and each path has exactly one split with a vertex right part,
     # (p, s(p)), for the lhs and one with a vertex left part, (t(p), p), for
-    # the rhs: the sum is that one term on each side.
+    # the rhs: the sum is that one term on each side.  The triples (p, q, r)
+    # of total degree <= cap run in basis order, r over the basis prefix
+    # `prefix[d]` of the paths of degree <= d.
+    cap = S.degree_cap
+    prefix = [S.basis_up_to(d) for d in range(cap + 1)]
     count = 0
-    for p, q, r in _triples_up_to(S):
-        count += 1
-        lhs: dict[Path, Scalar] = {}
-        coeff = S.phi(p.source, q.source, r.source)
-        for t, c in S.multiply_paths(q, r).terms.items():
-            add_scaled(lhs, S.multiply_paths(p, t), coeff * c)
-        rhs: dict[Path, Scalar] = {}
-        coeff = S.phi(p.target, q.target, r.target)
-        for t, c in S.multiply_paths(p, q).terms.items():
-            add_scaled(rhs, S.multiply_paths(t, r), coeff * c)
-        if Element(ctx, lhs) != Element(ctx, rhs):
-            report.add("quasi_associativity", (p, q, r))
+    for p, q in pairs_up_to(basis, cap):
+        rs = prefix[cap - len(p.arrows) - len(q.arrows)]
+        count += len(rs)
+        pq = S.multiply_paths(p, q).terms
+        phi_lhs = S.phi.values[p.source][q.source]
+        phi_rhs = S.phi.values[p.target][q.target]
+        for r in rs:
+            lhs: dict[Path, Scalar] = {}
+            coeff = phi_lhs[r.source]
+            for t, c in S.multiply_paths(q, r).terms.items():
+                add_scaled(lhs, S.multiply_paths(p, t), coeff.times(c))
+            rhs: dict[Path, Scalar] = {}
+            coeff = phi_rhs[r.target]
+            for t, c in pq.items():
+                add_scaled(rhs, S.multiply_paths(t, r), coeff.times(c))
+            if nonzero_terms(lhs) != nonzero_terms(rhs):
+                report.add("quasi_associativity", (p, q, r))
     report.tally("quasi_associativity", count)
 
     # (2.2) unit law
@@ -515,13 +522,13 @@ def verify_majid_axioms(structure: MajidStructure,
 
     # multiplication is a coalgebra morphism
     count = 0
-    for p, q in pairs_up_to(basis, S.degree_cap):
+    for p, q in pairs_up_to(basis, cap):
         count += 1
         prod = S.multiply_paths(p, q)
-        if not comultiplicative(quiver, prod, (
+        if not comultiplicative(S.splits, prod, (
             (S.multiply_paths(p1, q1), S.multiply_paths(p2, q2))
-            for p1, p2 in splits[p]
-            for q1, q2 in splits[q]
+            for p1, p2 in S.splits(p)
+            for q1, q2 in S.splits(q)
         )):
             report.add("multiplication_comultiplicative", (p, q))
         if counit(prod) != eps[p] * eps[q]:
@@ -592,7 +599,7 @@ def verify_majid_axioms(structure: MajidStructure,
     for p in basis:
         sp = S.antipode_path(p)
         if not comultiplicative(
-            quiver, sp, ((S.antipode_path(p2), S.antipode_path(p1)) for p1, p2 in splits[p])
+            S.splits, sp, ((S.antipode_path(p2), S.antipode_path(p1)) for p1, p2 in S.splits(p))
         ):
             report.add("antipode_antimorphism", (p,))
         if counit(sp) != eps[p]:

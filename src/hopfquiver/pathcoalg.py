@@ -15,7 +15,7 @@ coefficient 1; `path_splits(quiver, p, k)` lists them.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .cyclotomic import FieldContext, Scalar
 from .quiver import HopfQuiver, Path
@@ -111,10 +111,15 @@ class Element:
 
 
 def add_scaled(acc: dict[Path, Scalar], x: Element, c: Scalar) -> None:
-    """Add c * x into the coefficient dict `acc` in place.  `acc` may hold
-    zero coefficients; the `Element` built from it at the end drops them."""
+    """Add c * x into the coefficient dict `acc` in place; a unit c adds x's
+    coefficients as they are.  `acc` may hold zero coefficients; the
+    `Element` built from it at the end drops them."""
+    if c.is_one():
+        for p, xc in x.terms.items():
+            acc[p] = acc[p] + xc if p in acc else xc
+        return
     for p, xc in x.terms.items():
-        t = c * xc
+        t = c.times(xc)
         acc[p] = acc[p] + t if p in acc else t
 
 
@@ -154,29 +159,35 @@ def path_splits(quiver: HopfQuiver, p: Path, k: int = 2) -> list[tuple[Path, ...
 
 
 def comultiplicative(
-    quiver: HopfQuiver, x: Element, pairs: Iterable[tuple[Element, Element]]
+    splits: Callable[[Path], list[tuple[Path, Path]]],
+    x: Element,
+    pairs: Iterable[tuple[Element, Element]],
 ) -> bool:
     """Is Delta(x) the sum of y (x) z over the (y, z) in `pairs`?
 
     The one coalgebra-map check: f is a coalgebra map when this holds for
     x = f(p) and the pairs (f(p1), f(p2)) over the splits of each basis
-    path p, and an anti-map with the pairs (f(p2), f(p1)).  Both sides are
+    path p, and an anti-map with the pairs (f(p2), f(p1)).  `splits(p)`
+    is Delta of a path as its (later, earlier) pairs, `path_splits` for the
+    quiver or a memo of it such as `MajidStructure.splits`.  Both sides are
     `{(Path, Path): Scalar}` dicts, compared with zero terms dropped."""
     lhs: dict[tuple[Path, Path], Scalar] = {}
     for p, c in x.terms.items():
-        for pair in path_splits(quiver, p):
+        for pair in splits(p):
             lhs[pair] = lhs[pair] + c if pair in lhs else c
     rhs: dict[tuple[Path, Path], Scalar] = {}
     for y, z in pairs:
         for yp, yc in y.terms.items():
+            unit = yc.is_one()
             for zp, zc in z.terms.items():
                 key = (yp, zp)
-                c = yc * zc
+                c = zc if unit else yc.times(zc)
                 rhs[key] = rhs[key] + c if key in rhs else c
-    return _nonzero(lhs) == _nonzero(rhs)
+    return nonzero_terms(lhs) == nonzero_terms(rhs)
 
 
-def _nonzero(terms: dict) -> dict:
+def nonzero_terms(terms: dict) -> dict:
+    """`terms` without its zero coefficients."""
     return {k: c for k, c in terms.items() if not c.is_zero()}
 
 

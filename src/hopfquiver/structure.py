@@ -25,7 +25,7 @@ from .cyclotomic import Scalar
 from .errors import DegreeCapExceeded, IsoCheckFailed, NotSingleVertex
 from .groups import subgroup_generated
 from .majid import MajidStructure, pairs_up_to
-from .pathcoalg import Element, comultiplicative, path_splits
+from .pathcoalg import Element, comultiplicative
 from .quiver import Path, connected_components
 from .report import VerificationReport
 
@@ -146,7 +146,6 @@ def verify_translations(structure: MajidStructure) -> VerificationReport:
     S = structure
     dec = blocks(S)
     group = S.group
-    quiver = S.quiver
     report = VerificationReport()
     principal = dec.blocks[dec.principal_rep]
     by_degree: dict[int, list[Path]] = {}
@@ -190,8 +189,8 @@ def verify_translations(structure: MajidStructure) -> VerificationReport:
             report.tally("translation_bijective", 1)
             # coalgebra morphism: Delta(p g) = sum p1 g (x) p2 g
             for p in sources:
-                if not comultiplicative(quiver, image[p], (
-                    (image[p1], image[p2]) for p1, p2 in path_splits(quiver, p)
+                if not comultiplicative(S.splits, image[p], (
+                    (image[p1], image[p2]) for p1, p2 in S.splits(p)
                 )):
                     report.add("translation_comultiplicative", (g, p))
             report.tally("translation_comultiplicative", len(sources))
@@ -422,7 +421,7 @@ def primitives(structure: MajidStructure) -> LieData:
 
     for idx in loops:
         x = S.arrow(idx)
-        if not comultiplicative(quiver, x, [(x, unit), (unit, x)]):
+        if not comultiplicative(S.splits, x, [(x, unit), (unit, x)]):
             report.add("primitive", (quiver.arrow_path(idx),))
     report.tally("primitive", len(loops))
 
@@ -482,9 +481,9 @@ def cocommutative_check(structure: MajidStructure) -> tuple[bool, Path | None]:
     S = structure
     ctx = S.ctx
     for p in S.basis_up_to():
-        if not comultiplicative(S.quiver, Element.of_path(ctx, p), (
+        if not comultiplicative(S.splits, Element.of_path(ctx, p), (
             (Element.of_path(ctx, p2), Element.of_path(ctx, p1))
-            for p1, p2 in path_splits(S.quiver, p)
+            for p1, p2 in S.splits(p)
         )):
             return False, p
     return True, None

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfquiver import cyclotomic_polynomial, field_context
+from hopfquiver import FieldContext, cyclotomic_polynomial, field_context
+from hopfquiver.cyclotomic import PRODUCT_MEMO_SIZE
 from hopfquiver.errors import FieldDivisionError
 
 from oracles import FractionScalar
@@ -205,12 +206,61 @@ def test_scalar_matches_fraction_oracle(case):
     assert_matches(b - a, B - A)
     assert_matches(-a, -A)
     assert_matches(a * b, A * B)
+    # `times` on a fresh context: the first call misses the memo, the repeat
+    # hits it (and returns the memoized object unless a factor is 1)
+    fresh = FieldContext(m)
+    fa, fb = fresh.scalar(xs), fresh.scalar(ys)
+    miss = fa.times(fb)
+    hit = fa.times(fb)
+    assert miss == hit == a * b
+    assert_matches(miss, A * B)
+    assert_matches(hit, A * B)
+    assert hit is miss or fa.is_one() or fb.is_one()
+    assert_matches(a.times(b), A * B)
     assert_matches(a ** 3, A ** 3)
     assert (a == b) == (A == B)
     if not a.is_zero():
         assert_matches(a.inverse(), A.inverse())
         assert_matches(b / a, B * A.inverse())
         assert_matches(a ** -2, A ** -2)
+
+
+def test_times_memo_stays_bounded():
+    """72^2 distinct products, more than the memo holds: every one equals
+    `*`, on the first pass and on a second, and the memo never grows past
+    its bound (it reaches it, so it is cleared at least once)."""
+    ctx = FieldContext(5)
+    values = [ctx.scalar([i, j, 1, 0]) for i in range(1, 9) for j in range(1, 10)]
+    assert len(values) ** 2 > PRODUCT_MEMO_SIZE
+    largest = 0
+    for _ in range(2):
+        for a in values:
+            for b in values:
+                assert a.times(b) == a * b
+                largest = max(largest, len(ctx._products))
+                assert largest <= PRODUCT_MEMO_SIZE
+    assert largest == PRODUCT_MEMO_SIZE
+
+
+def test_times_mixed_contexts():
+    """Q(zeta_3) and Q(i) both have degree 2, so their numerator tuples can
+    collide: after a product is memoized in Q(zeta_3), `times` with a Q(i)
+    operand of the same numerators raises like `*`.  An operand from a
+    second FieldContext(3) object still gives the right product."""
+    z3 = field_context(3)
+    a, b = z3.scalar([2, 1]), z3.scalar([1, 3])
+    product = a * b
+    assert a.times(b) == product
+    c = field_context(4).scalar([1, 3])
+    assert (c.num, c.den) == (b.num, b.den)
+    with pytest.raises(ValueError) as by_mul:
+        a * c
+    with pytest.raises(ValueError) as by_times:
+        a.times(c)
+    assert str(by_times.value) == str(by_mul.value)
+    other = FieldContext(3).scalar([1, 3])
+    assert a.times(other) == product
+    assert other.times(a) == product
 
 
 # -- the inverse through the field norm against extended Euclid ------------

@@ -417,10 +417,11 @@ def _assert_quasi_associativity_matches_oracle(S, cap):
     return got
 
 
-@pytest.mark.parametrize("name", ["one_vertex_2_loop", "z4_two_blocks_standard_cocycle"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS_DIR.glob("*.json")))
 def test_quasi_associativity_matches_all_splits_oracle(name):
-    S = structure_at(SPECS_DIR / f"{name}.json", 4)
-    assert _assert_quasi_associativity_matches_oracle(S, 4) == []
+    for cap in (3, 4):
+        S = structure_at(SPECS_DIR / f"{name}.json", cap)
+        assert _assert_quasi_associativity_matches_oracle(S, cap) == []
 
 
 def test_quasi_associativity_matches_all_splits_oracle_on_doubled_entries():
