@@ -11,9 +11,10 @@ timed runs of LOOPS loops, of the mean time of one `a * b` (or one
 `a.inverse()`, timed over a tenth of the loops) in microseconds.  The
 `times_*` rows time the memoized product `a.times(b)` on the same pairs:
 `times_*_hit_us` in the same repeated loop, where all but the first call
-of a pair hit the memo, and `times_*_miss_us` on each distinct pair once, on
-a fresh `FieldContext(m)` per repeat, so every call misses.  The unit
-rows time `1 * x`, `x * 1` and `x / 1` for the `rationals` operands `x`.
+of a pair hit the memo, and `times_*_miss_us` in LOOPS passes over the
+distinct pairs, each pass on a fresh `FieldContext(m)`, so every call
+misses.  The unit rows time `1 * x`, `x * 1` and `x / 1` for the
+`rationals` operands `x`.
 The cocycle rows time, for each n in COCYCLE_ORDERS, `verify_cocycle` on
 the standard Z_n cocycle over Q(zeta_n), `cocycle_from_table` on the same
 table written to JSON and read back, and `verify_cocycle` on the loaded
@@ -101,17 +102,20 @@ def time_us(fn, pairs: list, loops: int, repeats: int) -> float:
 
 def time_miss_us(m: int, pairs: list) -> float:
     """Median over REPEATS of the mean microseconds of one `a.times(b)` that
-    misses the product memo: each distinct pair once, copied into a fresh
-    FieldContext(m) per repeat."""
+    misses the product memo: LOOPS passes over the distinct pairs, each pass
+    on copies in a fresh FieldContext(m) made before its timer starts."""
     distinct = list(dict.fromkeys(pairs))
     samples = []
     for _ in range(REPEATS):
-        ctx = FieldContext(m)
-        fresh = [(ctx.scalar(a.to_json()), ctx.scalar(b.to_json())) for a, b in distinct]
-        start = time.perf_counter()
-        for a, b in fresh:
-            a.times(b)
-        samples.append((time.perf_counter() - start) / len(fresh) * 1e6)
+        elapsed = 0.0
+        for _ in range(LOOPS):
+            ctx = FieldContext(m)
+            fresh = [(ctx.scalar(a.to_json()), ctx.scalar(b.to_json())) for a, b in distinct]
+            start = time.perf_counter()
+            for a, b in fresh:
+                a.times(b)
+            elapsed += time.perf_counter() - start
+        samples.append(elapsed / (LOOPS * len(fresh)) * 1e6)
     return statistics.median(samples)
 
 

@@ -183,11 +183,10 @@ def comultiplicative(
                 key = (yp, zp)
                 c = zc if unit else yc.times(zc)
                 rhs[key] = rhs[key] + c if key in rhs else c
-    return nonzero_terms(lhs) == nonzero_terms(rhs)
+    return _nonzero(lhs) == _nonzero(rhs)
 
 
-def nonzero_terms(terms: dict) -> dict:
-    """`terms` without its zero coefficients."""
+def _nonzero(terms: dict) -> dict:
     return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
