@@ -80,11 +80,5 @@ class IsoCheckFailed(HopfQuiverError):
         super().__init__(f"crossed-product transport check failed at {witness}")
 
 
-class UnknownFormat(HopfQuiverError):
-    def __init__(self, fmt):
-        self.fmt = fmt
-        super().__init__(f"unknown export format {fmt!r}")
-
-
 class SpecError(HopfQuiverError):
     """A problem file is malformed or internally inconsistent."""

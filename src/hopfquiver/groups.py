@@ -542,9 +542,6 @@ class RamificationData:
             out.extend(group.classes[cls])
         return tuple(sorted(out))
 
-    def is_zero(self) -> bool:
-        return not self.multiplicities
-
     def to_json(self, group: FiniteGroup):
         return [
             {"class_rep": group.classes[cls][0], "mult": m}

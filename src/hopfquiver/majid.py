@@ -55,7 +55,7 @@ from typing import Mapping
 from .cyclotomic import FieldContext, Scalar
 from .errors import ActionNotDegree1, DegreeCapExceeded, SpecError
 from .groups import Cocycle3, FiniteGroup
-from .pathcoalg import Element, _nonzero, add_scaled, comultiplicative, counit, path_splits
+from .pathcoalg import Element, _add_scaled, _nonzero, comultiplicative, counit, path_splits
 from .quiver import HopfQuiver, Path
 from .report import VerificationReport
 
@@ -97,13 +97,13 @@ class BimoduleAction:
         """Linear extension of g . (arrow); x must be degree-1."""
         acc: dict[Path, Scalar] = {}
         for p, c in x.terms.items():
-            add_scaled(acc, self.left_of(g, p.arrows[0]), c)
+            _add_scaled(acc, self.left_of(g, p.arrows[0]), c)
         return Element(self.ctx, acc)
 
     def act_right(self, x: Element, g: int) -> Element:
         acc: dict[Path, Scalar] = {}
         for p, c in x.terms.items():
-            add_scaled(acc, self.right_of(p.arrows[0], g), c)
+            _add_scaled(acc, self.right_of(p.arrows[0], g), c)
         return Element(self.ctx, acc)
 
     def entries(self) -> list[tuple[str, tuple[int, int], Element]]:
@@ -277,7 +277,6 @@ class MajidStructure:
         self._basis = paths_up_to(quiver, degree_cap)
         self._mul_cache: dict[tuple[Path, Path], Element] = {}
         self._antipode_cache: dict[Path, Element] = {}
-        self._s1_cache: dict[int, Element] = {}
         self._splits_cache: dict[Path, list[tuple[Path, Path]]] = {}
 
     # -- bases ---------------------------------------------------------------
@@ -376,39 +375,33 @@ class MajidStructure:
         acc: dict[Path, Scalar] = {}
         for p, a in x.terms.items():
             for q, b in y.terms.items():
-                add_scaled(acc, self.multiply_paths(p, q), a * b)
+                _add_scaled(acc, self.multiply_paths(p, q), a * b)
         return Element(self.ctx, acc)
 
     # -- quasi-antipode --------------------------------------------------------
-
-    def antipode_arrow(self, index: int) -> Element:
-        cached = self._s1_cache.get(index)
-        if cached is not None:
-            return cached
-        a = self.quiver.arrow(index)
-        g = self.group
-        s, t = a.source, a.target
-        s_inv, t_inv = g.inv(s), g.inv(t)
-        prefactor = -(self.phi(s, s, s_inv) / self.phi(t, s, s_inv))
-        core = self.action.act_right(
-            self.action.act_left(t_inv, self.arrow(index)), s_inv
-        )
-        out = core.scale(prefactor)
-        self._s1_cache[index] = out
-        return out
 
     def antipode_path(self, p: Path) -> Element:
         cached = self._antipode_cache.get(p)
         if cached is not None:
             return cached
+        g = self.group
         if p.is_vertex():
-            out = self.vertex(self.group.inv(p.source))
+            out = self.vertex(g.inv(p.source))
+        elif len(p.arrows) == 1:
+            # S_1 of the module docstring
+            s, t = p.source, p.target
+            s_inv, t_inv = g.inv(s), g.inv(t)
+            prefactor = -(self.phi(s, s, s_inv) / self.phi(t, s, s_inv))
+            core = self.action.act_right(
+                self.action.act_left(t_inv, Element.of_path(self.ctx, p)), s_inv
+            )
+            out = core.scale(prefactor)
         else:
             # the legs S_1(a_1) (x) ... (x) S_1(a_n) glue in reversed order,
             # S_1(a_n) traversed first (coopposite source coalgebra)
             partial = None
             for idx in reversed(p.arrows):
-                partial = _glue(partial, self.antipode_arrow(idx))
+                partial = _glue(partial, self.antipode_path(self.quiver.arrow_path(idx)))
             out = Element(self.ctx, partial)
         self._antipode_cache[p] = out
         return out
@@ -418,7 +411,7 @@ class MajidStructure:
             raise DegreeCapExceeded(x.max_degree(), self.degree_cap)
         acc: dict[Path, Scalar] = {}
         for p, c in x.terms.items():
-            add_scaled(acc, self.antipode_path(p), c)
+            _add_scaled(acc, self.antipode_path(p), c)
         return Element(self.ctx, acc)
 
 
@@ -459,13 +452,15 @@ def verify_majid_axioms(structure: MajidStructure,
     Both sides of each axiom are evaluated literally with the extended
     reassociator and functionals, on every instance where a side can be
     nonzero.  The reassociator, its inverse, the counit and beta vanish off
-    vertices, so three checks skip the instances where both sides are 0 by
+    vertices, so four checks skip the instances or terms that are 0 by
     degree alone, whatever the data: (2.1) sums over the one split of each
     path that gives the reassociator vertex legs, (2.4) runs over the vertex
-    pairs and (2.6) over the vertex paths.  Each tally still counts every
-    instance the axiom covers: the triples of total degree <= cap for (2.1),
-    `len(basis) ** 2` pairs for (2.4) and `len(basis)` paths for (2.6).
-    The sweeps over every instance are kept as test oracles.
+    pairs, (2.5) sums over the splits of Delta (the three-fold splits with a
+    vertex middle part) and (2.6) runs over the vertex paths.  Each tally
+    still counts every instance the axiom covers: the triples of total
+    degree <= cap for (2.1), `len(basis) ** 2` pairs for (2.4) and
+    `len(basis)` paths for (2.6).  The sweeps over every instance or split
+    are kept as test oracles.
 
     The degree truncation means this is verification up to the cap, not a
     proof for the full infinite-dimensional algebra.  A caller that has run
@@ -504,11 +499,11 @@ def verify_majid_axioms(structure: MajidStructure,
             lhs: dict[Path, Scalar] = {}
             coeff = phi_lhs[r.source]
             for t, c in S.multiply_paths(q, r).terms.items():
-                add_scaled(lhs, S.multiply_paths(p, t), coeff.times(c))
+                _add_scaled(lhs, S.multiply_paths(p, t), coeff.times(c))
             rhs: dict[Path, Scalar] = {}
             coeff = phi_rhs[r.target]
             for t, c in pq.items():
-                add_scaled(rhs, S.multiply_paths(t, r), coeff.times(c))
+                _add_scaled(rhs, S.multiply_paths(t, r), coeff.times(c))
             if _nonzero(lhs) != _nonzero(rhs):
                 report.add("quasi_associativity", (p, q, r))
     report.tally("quasi_associativity", count)
@@ -552,17 +547,17 @@ def verify_majid_axioms(structure: MajidStructure,
                 report.add("normalization_middle_unit", (p, q))
     report.tally("normalization_middle_unit", len(basis) ** 2)
 
-    # (2.5) the two antipode laws, evaluated on three-fold splittings
+    # (2.5) the two antipode laws.  alpha (the counit) and beta vanish off
+    # vertices, so a three-fold split (t1, t2, t3) of p counts only when t2
+    # is a vertex; those splits are the splits (t1, t3) of Delta, with t2 the
+    # vertex s(t1)
     for p in basis:
         lhs_a: dict[Path, Scalar] = {}
         lhs_b: dict[Path, Scalar] = {}
-        for t1, t2, t3 in path_splits(quiver, p, 3):
-            # alpha is the counit: 1 on vertices, 0 on longer paths
-            if t2.is_vertex():
-                add_scaled(lhs_a, S.multiply(S.antipode_path(t1), element[t3]), one)
-            bv = S.beta_of_path(t2)
-            if not bv.is_zero():
-                add_scaled(lhs_b, S.multiply(element[t1], S.antipode_path(t3)), bv)
+        for t1, t3 in S.splits(p):
+            _add_scaled(lhs_a, S.multiply(S.antipode_path(t1), element[t3]), one)
+            bv = S.beta_of_path(quiver.vertex_path(t1.source))
+            _add_scaled(lhs_b, S.multiply(element[t1], S.antipode_path(t3)), bv)
         if Element(ctx, lhs_a) != unit.scale(eps[p]):
             report.add("antipode_alpha_law", (p,))
         if Element(ctx, lhs_b) != unit.scale(S.beta(element[p])):
@@ -570,27 +565,15 @@ def verify_majid_axioms(structure: MajidStructure,
     report.tally("antipode_alpha_law", len(basis))
     report.tally("antipode_beta_law", len(basis))
 
-    # (2.6) the functional identities on five-fold splittings.  The antipode
-    # keeps the degree, so a term is nonzero only when all five parts are
-    # vertices; a longer path has a longer part in every split, and both
-    # sides are 0 on it
+    # (2.6) the functional identities.  The antipode keeps the degree, so a
+    # term of the five-fold splits is nonzero only when all five parts are
+    # vertices: a vertex p has the one split (p, p, p, p, p), and on a longer
+    # path both sides are 0
     for p in vertices:
-        total_fwd = ctx.zero()
-        total_inv = ctx.zero()
-        for t1, t2, t3, t4, t5 in path_splits(quiver, p, 5):
-            bv = S.beta_of_path(t2)
-            if t4.is_vertex() and not bv.is_zero():
-                total_fwd = total_fwd + bv * S.reassociator(
-                    element[t1], S.antipode_path(t3), element[t5]
-                )
-            bv2 = S.beta_of_path(t4)
-            if t2.is_vertex() and not bv2.is_zero():
-                total_inv = total_inv + bv2 * S.reassociator_inverse(
-                    S.antipode_path(t1), element[t3], S.antipode_path(t5)
-                )
-        if total_fwd != eps[p]:
+        x, sx, bv = element[p], S.antipode_path(p), S.beta_of_path(p)
+        if bv * S.reassociator(x, sx, x) != eps[p]:
             report.add("antipode_functional_forward", (p,))
-        if total_inv != eps[p]:
+        if bv * S.reassociator_inverse(sx, x, sx) != eps[p]:
             report.add("antipode_functional_inverse", (p,))
     report.tally("antipode_functional_forward", len(basis))
     report.tally("antipode_functional_inverse", len(basis))

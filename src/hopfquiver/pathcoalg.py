@@ -7,10 +7,8 @@ Comultiplication splits a path at every junction,
                          + sum_i  a_n ... a_(i+1) (x) a_i ... a_1
                          + t(a_n) (x) p ,
 
-so the first tensor leg always carries the *later* portion of the path.  By
-coassociativity the iterated comultiplication Delta^(k-1)(p) is the sum of the
-splittings of p into k consecutive parts, latest part first, each with
-coefficient 1; `path_splits(quiver, p, k)` lists them.
+so the first tensor leg always carries the *later* portion of the path;
+`path_splits(quiver, p)` lists these n+1 (later, earlier) pairs.
 """
 
 from __future__ import annotations
@@ -110,7 +108,7 @@ class Element:
         ]
 
 
-def add_scaled(acc: dict[Path, Scalar], x: Element, c: Scalar) -> None:
+def _add_scaled(acc: dict[Path, Scalar], x: Element, c: Scalar) -> None:
     """Add c * x into the coefficient dict `acc` in place; a unit c adds x's
     coefficients as they are.  `acc` may hold zero coefficients; the
     `Element` built from it at the end drops them."""
@@ -142,20 +140,15 @@ def element_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Iterable[dict
 # the coalgebra structure maps
 
 
-def path_splits(quiver: HopfQuiver, p: Path, k: int = 2) -> list[tuple[Path, ...]]:
-    """All splittings of p into k consecutive parts, latest part first: the
-    terms of Delta^(k-1)(p).  k = 2 gives the (later, earlier) pairs of Delta."""
+def path_splits(quiver: HopfQuiver, p: Path) -> list[tuple[Path, Path]]:
+    """Delta(p) as its (later, earlier) pairs, the earlier part holding the
+    first i arrows, i = 0 .. n."""
     junctions = quiver.junctions(p)
-    arrows = p.arrows
-    # (parts cut off so far, number of earliest arrows not yet cut)
-    partial = [((), len(arrows))]
-    for _ in range(k - 1):
-        partial = [
-            (parts + (Path(junctions[i], arrows[i:end], junctions[end]),), i)
-            for parts, end in partial
-            for i in range(end + 1)
-        ]
-    return [parts + (Path(p.source, arrows[:end], junctions[end]),) for parts, end in partial]
+    arrows, n = p.arrows, len(p.arrows)
+    return [
+        (Path(junctions[i], arrows[i:], junctions[n]), Path(p.source, arrows[:i], junctions[i]))
+        for i in range(n + 1)
+    ]
 
 
 def comultiplicative(

@@ -74,7 +74,8 @@ def _require(cond, message):
 
 
 def load_problem(source) -> ProblemSpec:
-    """Parse a problem from a dict, JSON string, or file path."""
+    """Parse a problem from a dict or from the path (`str` or `Path`) of a
+    JSON file."""
     if isinstance(source, (str, FsPath)):
         text = FsPath(source).read_text()
         try:

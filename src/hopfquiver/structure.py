@@ -136,8 +136,9 @@ def blocks(structure: MajidStructure) -> BlockDecomposition:
 
 
 def translate(structure: MajidStructure, p: Path, g: int) -> Element:
-    """Right translation Tr_g: p -> p * g (multiplication by the vertex g)."""
-    return structure.multiply(Element.of_path(structure.ctx, p), structure.vertex(g))
+    """Right translation Tr_g: p -> p * g (multiplication by the vertex g),
+    read from the product memo."""
+    return structure.multiply_paths(p, structure.quiver.vertex_path(g))
 
 
 def verify_translations(structure: MajidStructure) -> VerificationReport:
@@ -158,14 +159,12 @@ def verify_translations(structure: MajidStructure) -> VerificationReport:
             d: [p for p in dec.blocks[target_rep] if len(p.arrows) == d]
             for d in by_degree
         }
-        # every split of a principal-block path is a principal-block path
-        image = {p: translate(S, p, g) for p in principal}
         for d, sources in sorted(by_degree.items()):
             cols = {p: i for i, p in enumerate(target_paths[d])}
             ok_support = True
             matrix = []
             for p in sources:
-                img = image[p]
+                img = translate(S, p, g)
                 if not img.is_homogeneous(d):
                     report.add("translation_graded", (g, p), "image not homogeneous")
                 row = [S.ctx.zero()] * len(cols)
@@ -189,8 +188,8 @@ def verify_translations(structure: MajidStructure) -> VerificationReport:
             report.tally("translation_bijective", 1)
             # coalgebra morphism: Delta(p g) = sum p1 g (x) p2 g
             for p in sources:
-                if not comultiplicative(S.splits, image[p], (
-                    (image[p1], image[p2]) for p1, p2 in S.splits(p)
+                if not comultiplicative(S.splits, translate(S, p, g), (
+                    (translate(S, p1, g), translate(S, p2, g)) for p1, p2 in S.splits(p)
                 )):
                     report.add("translation_comultiplicative", (g, p))
             report.tally("translation_comultiplicative", len(sources))
@@ -316,9 +315,7 @@ class CrossedProduct:
 def _conjugate(structure: MajidStructure, u: int, q: Path) -> Element:
     """u |> q = u (q u^-1), both products via the graded multiplication."""
     S = structure
-    g = S.group
-    qu = S.multiply(Element.of_path(S.ctx, q), S.vertex(g.inv(u)))
-    return S.multiply(S.vertex(u), qu)
+    return S.multiply(S.vertex(u), translate(S, q, S.group.inv(u)))
 
 
 def _transport_rhs(structure: MajidStructure, p: Path, u_q: Element, uv: int,
@@ -336,8 +333,9 @@ def crossed_product(structure: MajidStructure) -> CrossedProduct:
     the isomorphism p u -> p (x) u on all basis pairs of total degree up to
     the cap.
 
-    Each translation p u, each conjugate u |> q and each Theta value (which
-    reads only the end vertices of p and q) is computed once per call.
+    Each translation p u is read from the product memo, and each conjugate
+    u |> q and each Theta value (which reads only the end vertices of p and
+    q) is computed once per call.
     Raises IsoCheckFailed with the first pair that does not transport (which
     would indicate an implementation defect, not a failure of the theory).
     """
@@ -359,19 +357,15 @@ def crossed_product(structure: MajidStructure) -> CrossedProduct:
         for u in reps
         for v in reps
     ]
-    translated: dict[tuple[Path, int], Element] = {}
     conjugated: dict[tuple[int, Path], Element] = {}
     thetas: dict[tuple[int, ...], Scalar] = {}
     for p, u, q, v in pairs:
-        for key in ((p, u), (q, v)):
-            if key not in translated:
-                translated[key] = translate(S, *key)
         if (u, q) not in conjugated:
             conjugated[(u, q)] = _conjugate(S, u, q)
         ends = (p.source, p.target, q.source, q.target, u, v)
         if ends not in thetas:
             thetas[ends] = theta(S, p, q, u, v)
-        lhs = S.multiply(translated[(p, u)], translated[(q, v)])
+        lhs = S.multiply(translate(S, p, u), translate(S, q, v))
         if lhs != _transport_rhs(S, p, conjugated[(u, q)], g.mul(u, v), thetas[ends]):
             raise IsoCheckFailed((p, u, q, v))
     report = VerificationReport()

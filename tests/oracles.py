@@ -1,12 +1,14 @@
 """Independent formulas that the tests check `src` against.
 
 They are the literal definitions, which `src` computes by shorter routes:
-Delta of one path as a tensor, the componentwise comultiplication of a
-tensor of paths, its iteration on the rightmost block, and the graded
-product M_n = M_1^(x n) o Delta_2^(n-1) read off that iteration;
-quasi-associativity (2.1) summed over every split triple; the
-normalization (2.4) on every basis pair and the antipode functionals (2.6)
-on every basis path, which `src` evaluates on vertices only; and Q(zeta_m)
+Delta of one path as a tensor, the k-fold splits Delta^(k-1), the
+componentwise comultiplication of a tensor of paths, its iteration on the
+rightmost block, and the graded product M_n = M_1^(x n) o Delta_2^(n-1)
+read off that iteration; quasi-associativity (2.1) summed over every split
+triple; the normalization (2.4) on every basis pair and the antipode
+functionals (2.6) on every basis path, which `src` evaluates on vertices
+only; the antipode laws (2.5) over every three-fold split, which `src`
+sums over the splits of Delta; and Q(zeta_m)
 arithmetic on tuples of Fraction coordinates, which `src` does on integer
 numerators over one denominator; and the 3-cocycle sweep with every product
 computed on scalars, which `src` computes once per pair of distinct values.
@@ -28,6 +30,22 @@ from hopfquiver.pathcoalg import counit, path_splits
 @functools.lru_cache(maxsize=1 << 16)
 def _splits(quiver, p):
     return path_splits(quiver, p)
+
+
+def iterated_splits(quiver, p, k):
+    """All splittings of p into k consecutive parts, latest part first: the
+    terms of Delta^(k-1)(p).  k = 2 gives the (later, earlier) pairs of Delta."""
+    junctions = quiver.junctions(p)
+    arrows = p.arrows
+    # (parts cut off so far, number of earliest arrows not yet cut)
+    partial = [((), len(arrows))]
+    for _ in range(k - 1):
+        partial = [
+            (parts + (Path(junctions[i], arrows[i:end], junctions[end]),), i)
+            for parts, end in partial
+            for i in range(end + 1)
+        ]
+    return [parts + (Path(p.source, arrows[:end], junctions[end]),) for parts, end in partial]
 
 
 def _split_each(quiver, tup):
@@ -184,7 +202,7 @@ def vanishing_axioms_by_full_sweep(S):
     for p in basis:
         total_fwd = ctx.zero()
         total_inv = ctx.zero()
-        for t1, t2, t3, t4, t5 in path_splits(S.quiver, p, 5):
+        for t1, t2, t3, t4, t5 in iterated_splits(S.quiver, p, 5):
             bv = S.beta_of_path(t2)
             if t4.is_vertex() and not bv.is_zero():
                 total_fwd = total_fwd + bv * S.reassociator(
@@ -202,6 +220,34 @@ def vanishing_axioms_by_full_sweep(S):
     report.tally("antipode_functional_forward", len(basis))
     report.tally("antipode_functional_inverse", len(basis))
     return report
+
+
+def antipode_laws_by_three_fold_splits(S):
+    """(2.5) summed over every three-fold split (t1, t2, t3) of each basis
+    path, alpha being the counit and beta the functional of `S`.  Returns
+    the violating paths of the alpha law and of the beta law, in basis
+    order, and the number of paths checked."""
+    ctx = S.ctx
+    basis = S.basis_up_to()
+    element = {p: Element.of_path(ctx, p) for p in basis}
+    eps = {p: counit(x) for p, x in element.items()}
+    unit = S.unit()
+    alpha_witnesses, beta_witnesses = [], []
+    for p in basis:
+        lhs_a = Element.zero(ctx)
+        lhs_b = Element.zero(ctx)
+        for t1, t2, t3 in iterated_splits(S.quiver, p, 3):
+            # alpha is the counit: 1 on vertices, 0 on longer paths
+            if t2.is_vertex():
+                lhs_a = lhs_a + S.multiply(S.antipode_path(t1), element[t3])
+            bv = S.beta_of_path(t2)
+            if not bv.is_zero():
+                lhs_b = lhs_b + S.multiply(element[t1], S.antipode_path(t3)).scale(bv)
+        if lhs_a != unit.scale(eps[p]):
+            alpha_witnesses.append((p,))
+        if lhs_b != unit.scale(S.beta(element[p])):
+            beta_witnesses.append((p,))
+    return alpha_witnesses, beta_witnesses, len(basis)
 
 
 def theta_third_unswapped(S, p, q, u, v):

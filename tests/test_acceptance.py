@@ -31,7 +31,6 @@ from hopfquiver import (
     verify_majid_axioms,
 )
 from hopfquiver.majid import MajidStructure
-from hopfquiver.pathcoalg import path_splits
 from hopfquiver.structure import (
     block_product_check,
     blocks,
@@ -49,7 +48,7 @@ from conftest import (
     make_taft_structure,
     make_z4_blocks_structure,
 )
-from oracles import comultiply
+from oracles import comultiply, iterated_splits
 
 
 def announce(num, name):
@@ -145,7 +144,7 @@ def test_criterion_2_path_coalgebra_suite():
                 assert id_eps == Element.of_path(ctx, p)
                 # coassociativity: leftmost vs rightmost iteration, and both
                 # equal to the three-fold splits
-                threefold = path_splits(quiver, p, 3)
+                threefold = iterated_splits(quiver, p, 3)
                 assert len(set(threefold)) == len(threefold)
                 leftmost = {}
                 rightmost = {}

@@ -34,7 +34,11 @@ from conftest import (
     make_z4_blocks_structure,
     structure_at,
 )
-from oracles import quasi_associativity_by_all_splits, vanishing_axioms_by_full_sweep
+from oracles import (
+    antipode_laws_by_three_fold_splits,
+    quasi_associativity_by_all_splits,
+    vanishing_axioms_by_full_sweep,
+)
 
 
 # -- bimodule verification -----------------------------------------------------
@@ -485,6 +489,42 @@ def test_vanishing_axioms_match_full_sweep_oracle_on_doubled_cocycle_entries():
             assert ("normalization_middle_unit", (vertex(u), vertex(v))) in witnesses
     # beta(g) Phi(g, g^-1, g) = 1 by the definition of beta
     assert all(check != "antipode_functional_forward" for check, _ in witnesses)
+
+
+def _assert_antipode_laws_match_oracle(S):
+    """The (2.5) witnesses and tallies of `verify_majid_axioms` against the
+    sum over every three-fold split; returns the alpha and beta witnesses."""
+    rep = verify_majid_axioms(S)
+    alpha, beta, count = antipode_laws_by_three_fold_splits(S)
+    for check, witnesses in (("antipode_alpha_law", alpha), ("antipode_beta_law", beta)):
+        assert [v.witness for v in rep.violations if v.check == check] == witnesses
+        assert rep.counts[check] == count > 0
+    return alpha, beta
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS_DIR.glob("*.json")))
+def test_antipode_laws_match_three_fold_oracle(name, cap):
+    S = structure_at(SPECS_DIR / f"{name}.json", cap)
+    assert _assert_antipode_laws_match_oracle(S) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "name", ["z4_two_blocks_standard_cocycle", "z2_nontrivial_cocycle", "z3_taft"]
+)
+def test_antipode_laws_match_three_fold_oracle_on_doubled_entries(name):
+    """Doubling each action entry in turn: (2.5) over the splits of Delta
+    reports what the sum over every three-fold split reports, and both laws
+    fire on some mutant."""
+    S = structure_at(SPECS_DIR / f"{name}.json", 3)
+    two = S.ctx.scalar(2)
+    alpha_fired = beta_fired = 0
+    for side, key, value in S.action.entries():
+        T = MajidStructure(S.quiver, S.phi, S.action.with_entry(side, key, value.scale(two)), 3)
+        alpha, beta = _assert_antipode_laws_match_oracle(T)
+        alpha_fired += len(alpha)
+        beta_fired += len(beta)
+    assert alpha_fired > 0 and beta_fired > 0
 
 
 def test_multiplication_and_antipode_linear():

@@ -1,8 +1,9 @@
 """Path coalgebra: comultiplication splittings, counit, tensor powers.
 
-The iterated comultiplication (the k-fold `path_splits`) is cross-checked
-against the oracle in `oracles.py`, which expands Delta of each component and
-interleaves directly, and against the leftmost iteration of `comultiply`.
+The iterated comultiplication (the k-fold `iterated_splits` of `oracles.py`)
+is cross-checked against the oracle there that expands Delta of each
+component and interleaves directly; at k = 2 it is `path_splits`, Delta
+itself, which is checked against `comultiply` and that oracle's one step.
 """
 
 from functools import partial
@@ -25,7 +26,7 @@ from hopfquiver.pathcoalg import comultiplicative, element_from_json, path_split
 from hopfquiver.problem import load_problem
 
 from conftest import SPECS_DIR
-from oracles import comultiply, oracle_tensor_comultiply, rightmost_iteration
+from oracles import comultiply, iterated_splits, oracle_tensor_comultiply, rightmost_iteration
 
 
 def z2_quiver():
@@ -85,8 +86,10 @@ def test_counit():
 def splits_tensor(ctx, quiver, p, k):
     """The k-fold splittings of p as a {tuple: Scalar} tensor, checking each
     appears once."""
-    splits = path_splits(quiver, p, k)
+    splits = iterated_splits(quiver, p, k)
     assert len(set(splits)) == len(splits)
+    if k == 2:
+        assert splits == path_splits(quiver, p)
     return {t: ctx.one() for t in splits}
 
 
@@ -94,7 +97,7 @@ def test_iterated_comultiply_steps_zero_identity():
     ctx = field_context(1)
     q = z2_quiver()
     p = q.path(0, [0, 1])
-    assert path_splits(q, p, 1) == [(p,)]
+    assert iterated_splits(q, p, 1) == [(p,)]
     assert splits_tensor(ctx, q, p, 1) == {(p,): ctx.one()}
 
 

@@ -65,7 +65,7 @@ def test_every_construction_route_returns_the_interned_path():
     assert q.extend(q.extend(q.vertex_path(0), 0), 1) is p
     assert Path(0, (0,), 1) is q.arrow_path(0)
     assert Path(1, (), 1) is q.vertex_path(1)
-    built = [piece for parts in path_splits(q, p, 3) for piece in parts]
+    built = [piece for parts in path_splits(q, p) + S.splits(p) for piece in parts]
     built += S.multiply_paths(q.arrow_path(1), p).terms
     x = element_from_json(S.ctx, q, [{"source": 0, "arrows": [0, 1], "coeff": "1"}])
     assert list(x.terms) == [p]
