@@ -8,13 +8,16 @@ cocycles; k = 0 would give 1, which the unit rows time) and
 `rationals` pairs of random coordinate vectors with numerators in [-9, 9]
 and denominators in [1, 6].  Each figure is the median, over REPEATS
 timed runs of LOOPS loops, of the mean time of one `a * b` (or one
-`a.inverse()`, timed over a tenth of the loops) in microseconds.  The
-`times_*` rows time the memoized product `a.times(b)` on the same pairs:
-`times_*_hit_us` in the same repeated loop, where all but the first call
-of a pair hit the memo, and `times_*_miss_us` in LOOPS passes over the
-distinct pairs, each pass on a fresh `FieldContext(m)`, so every call
-misses.  The unit rows time `1 * x`, `x * 1` and `x / 1` for the
-`rationals` operands `x`.
+`a.inverse()`, timed over a tenth of the loops) in microseconds; the
+`add_*` rows time `a + b` the same way.  The `times_*` rows time the
+memoized product `a.times(b)` on the same pairs, and the `plus_*` rows the
+memoized sum `a.plus(b)`: `*_hit_us` in the same repeated loop, on the
+operands interned once (`FieldContext.intern`, as the kernels hold their
+structure constants), where all but the first call of a pair hit the memo,
+and `*_miss_us` in LOOPS passes over the distinct pairs, each pass on
+unkeyed copies in a fresh `FieldContext(m)`, so every call misses and
+interns its operands and result.  The unit rows time `1 * x`, `x * 1` and
+`x / 1` for the `rationals` operands `x`.
 The cocycle rows time, for each n in COCYCLE_ORDERS, `verify_cocycle` on
 the standard Z_n cocycle over Q(zeta_n), `cocycle_from_table` on the same
 table written to JSON and read back, and `verify_cocycle` on the loaded
@@ -25,10 +28,13 @@ normalized 2-cochain with rational values fixed by SEED, a table with
 nearly one value per entry.  Each `*_peak_kb` figure is the tracemalloc
 peak of one more call, in KiB, counting what the call allocates.
 Only the public API is used (`FieldContext`, `field_context`,
-`root_of_unity`, `scalar`, `one`, `*`, `times`, `/`, `inverse`, `to_json`,
-`mul`, `identity`, `standard_cyclic_cocycle`, `cocycle_from_table`,
-`verify_cocycle`), so the script times any checkout's `hopfquiver` that
-has `Scalar.times`, and records that checkout's git commit.
+`root_of_unity`, `scalar`, `one`, `+`, `*`, `times`, `/`, `inverse`,
+`to_json`, `mul`, `identity`, `standard_cyclic_cocycle`,
+`cocycle_from_table`, `verify_cocycle`, and `intern` and `plus` where the
+checkout has them), so the script times any checkout's `hopfquiver` that
+has `Scalar.times` (the `plus_*` rows only where it has `Scalar.plus`, the
+hit rows on unkeyed operands where it has no `intern`), and records that
+checkout's git commit.
 
 Run from the repository root:
 
@@ -53,6 +59,7 @@ from pathlib import Path
 import hopfquiver
 from hopfquiver import (
     FieldContext,
+    Scalar,
     cocycle_from_table,
     field_context,
     standard_cyclic_cocycle,
@@ -100,10 +107,12 @@ def time_us(fn, pairs: list, loops: int, repeats: int) -> float:
     return statistics.median(samples)
 
 
-def time_miss_us(m: int, pairs: list) -> float:
-    """Median over REPEATS of the mean microseconds of one `a.times(b)` that
-    misses the product memo: LOOPS passes over the distinct pairs, each pass
-    on copies in a fresh FieldContext(m) made before its timer starts."""
+def time_miss_us(m: int, pairs: list, method: str) -> float:
+    """Median over REPEATS of the mean microseconds of one `a.times(b)` (or
+    `a.plus(b)`, by `method`) that misses its memo: LOOPS passes over the
+    distinct pairs, each pass on copies in a fresh FieldContext(m) made
+    before its timer starts."""
+    op = getattr(Scalar, method)
     distinct = list(dict.fromkeys(pairs))
     samples = []
     for _ in range(REPEATS):
@@ -113,7 +122,7 @@ def time_miss_us(m: int, pairs: list) -> float:
             fresh = [(ctx.scalar(a.to_json()), ctx.scalar(b.to_json())) for a, b in distinct]
             start = time.perf_counter()
             for a, b in fresh:
-                a.times(b)
+                op(a, b)
             elapsed += time.perf_counter() - start
         samples.append(elapsed / (LOOPS * len(fresh)) * 1e6)
     return statistics.median(samples)
@@ -214,12 +223,19 @@ def run() -> dict:
     rng = random.Random(SEED)
     per_m = {}
     for m in ORDERS:
-        row = {"degree": field_context(m).degree}
+        ctx = field_context(m)
+        intern = getattr(ctx, "intern", lambda x: x)
+        row = {"degree": ctx.degree}
         for kind in ("roots", "rationals"):
             pairs = operands(m, kind, rng)
+            keyed = [(intern(a), intern(b)) for a, b in pairs]
             row[f"mul_{kind}_us"] = time_us(lambda a, b: a * b, pairs, LOOPS, REPEATS)
-            row[f"times_{kind}_hit_us"] = time_us(lambda a, b: a.times(b), pairs, LOOPS, REPEATS)
-            row[f"times_{kind}_miss_us"] = time_miss_us(m, pairs)
+            row[f"times_{kind}_hit_us"] = time_us(lambda a, b: a.times(b), keyed, LOOPS, REPEATS)
+            row[f"times_{kind}_miss_us"] = time_miss_us(m, pairs, "times")
+            row[f"add_{kind}_us"] = time_us(lambda a, b: a + b, pairs, LOOPS, REPEATS)
+            if hasattr(Scalar, "plus"):
+                row[f"plus_{kind}_hit_us"] = time_us(lambda a, b: a.plus(b), keyed, LOOPS, REPEATS)
+                row[f"plus_{kind}_miss_us"] = time_miss_us(m, pairs, "plus")
             row[f"inverse_{kind}_us"] = time_us(
                 lambda a, b: a.inverse(), pairs, LOOPS // 10, REPEATS
             )

@@ -16,23 +16,27 @@ product of the Galois conjugates sigma_k(x), sigma_k: z -> z^k, over the
 units k != 1 mod m, N(x) = x * c is a rational integer and x^-1 = c / N(x).
 
 Most scalars in practice are exactly 1, and canonical form gives 1 a single
-representation (1, 0, ..., 0)/1: `is_one` is a tuple comparison, and a unit
+representation (1, 0, ..., 0)/1: `is_one` is an identity or tuple test, and a unit
 factor or the inverse of 1 returns an operand unchanged (exact and canonical).
 
-The path-algebra kernels multiply structure constants (action entries,
-cocycle values, product coefficients) drawn from a few hundred distinct
-values, so they multiply through `Scalar.times`, which looks the product up
-in a memo on the `FieldContext`, keyed by both operands' numerators and
-denominators and cleared once it holds PRODUCT_MEMO_SIZE entries.  `*` stays
-a direct product: the callers of `*` (the 3-cocycle check on a table with
-nearly one value per entry, inverses, powers) rarely repeat an operand pair,
-and a memo there would only add a lookup and hold the products.
+The path-algebra kernels add and multiply structure constants (action
+entries, cocycle values, product coefficients) drawn from a few hundred
+distinct values, so a `FieldContext` interns scalars as paths are interned:
+`intern`, `times` and `plus` return the one object with a small int `key`
+the context holds for a value, and `times`/`plus` look it up in a memo keyed
+by the operands' keys, so `is_zero`, `is_one` and `==` on keyed scalars of
+one context are identity tests.  The table holds at most PRODUCT_MEMO_SIZE
+values and is never cleared: past that, new values stay unkeyed and are
+computed directly.  The memos are cleared at that size.  `*` and `+` stay
+direct: the 3-cocycle check on a table with nearly one value per entry,
+inverses and powers rarely repeat an operand pair and would fill the table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
 from typing import Sequence, Union
 
@@ -40,7 +44,7 @@ from .errors import FieldDivisionError
 
 RationalLike = Union[int, str, Fraction]
 
-# the most products one context memoizes for `Scalar.times` before it starts over
+# the most values a context interns, and products (sums) it memoizes before it starts over
 PRODUCT_MEMO_SIZE = 4096
 
 
@@ -93,7 +97,8 @@ def _parse_rational(v: RationalLike) -> tuple[int, int]:
 class FieldContext:
     """Shared context for scalars of one cyclotomic order m."""
 
-    __slots__ = ("order", "degree", "modulus", "_tail", "_conjugators", "_one", "_products")
+    __slots__ = ("order", "degree", "modulus", "_tail", "_conjugators", "_interned", "_keys",
+                 "_one", "_zero", "_products", "_sums")
 
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 1:
@@ -109,9 +114,12 @@ class FieldContext:
             for k in range(2, m)
             if gcd(k, m) == 1
         )
-        self._one = Scalar(self, (1,) + (0,) * (self.degree - 1), 1)
-        # (a.num, a.den, b.num, b.den) -> a * b, for `Scalar.times`
-        self._products: dict[tuple, Scalar] = {}
+        self._interned: dict[tuple, Scalar] = {}  # (num, den) -> the keyed scalar
+        self._keys = count()
+        self._one = self.intern(Scalar(self, (1,) + (0,) * (self.degree - 1), 1))
+        self._zero = self.intern(Scalar(self, (0,) * self.degree, 1))
+        self._products: dict[tuple[int, int], Scalar] = {}  # (a.key, b.key) -> a * b
+        self._sums: dict[tuple[int, int], Scalar] = {}  # (a.key, b.key) -> a + b
 
     def __eq__(self, other):
         return isinstance(other, FieldContext) and other.order == self.order
@@ -123,7 +131,7 @@ class FieldContext:
         return f"FieldContext(m={self.order})"
 
     def zero(self) -> "Scalar":
-        return Scalar(self, (0,) * self.degree, 1)
+        return self._zero
 
     def one(self) -> "Scalar":
         return self._one
@@ -160,6 +168,28 @@ class FieldContext:
             num += [0] * (self.degree - len(num))
             return Scalar(self, tuple(num), den)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
+
+    def intern(self, s: "Scalar") -> "Scalar":
+        """The keyed scalar equal to s (a scalar of this order), or s when the
+        table is full and lacks it; threads that miss on one value get one object."""
+        out = self._interned.get((s.num, s.den))
+        if out is None and len(self._interned) < PRODUCT_MEMO_SIZE:
+            out = Scalar(self, s.num, s.den, next(self._keys))
+            out = self._interned.setdefault((s.num, s.den), out)
+        return s if out is None else out
+
+    def _memoized(self, memo: dict, op, a: "Scalar", b: "Scalar") -> "Scalar":
+        """op(a, b) on a miss of `times` or `plus`, on the interned operands."""
+        a, b = self.intern(a), self.intern(b)
+        if a.key is None or b.key is None:
+            return self.intern(op(a, b))
+        key = (a.key, b.key)
+        out = memo.get(key)
+        if out is None:
+            if len(memo) >= PRODUCT_MEMO_SIZE:
+                memo.clear()
+            out = memo[key] = self.intern(op(a, b))
+        return out
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """The reduced product of two numerator tuples."""
@@ -203,31 +233,36 @@ def _canonical(ctx: FieldContext, num: tuple[int, ...], den: int) -> "Scalar":
 
 class Scalar:
     """An element of Q(zeta_m): integer power-basis numerators `num` over
-    one positive denominator `den`, with gcd(den, *num) == 1.
+    one positive denominator `den`, with gcd(den, *num) == 1.  `key` is set
+    on the context's interned object of the value and None on any other.
 
     Immutable; all operations are pure, so scalars can be shared freely.
     """
 
-    __slots__ = ("ctx", "num", "den")
+    __slots__ = ("ctx", "num", "den", "key")
 
-    def __init__(self, ctx: FieldContext, num: tuple[int, ...], den: int):
+    def __init__(self, ctx: FieldContext, num: tuple[int, ...], den: int, key: int | None = None):
         self.ctx = ctx
         self.num = num
         self.den = den
+        self.key = key
 
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return self is self.ctx._zero or (self.key is None and not any(self.num))
 
     def is_one(self) -> bool:
-        return self.den == 1 and self.num == self.ctx._one.num
+        one = self.ctx._one
+        return self is one or (self.key is None and self.den == 1 and self.num == one.num)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
+            if self.key is not None and other.key is not None and self.ctx is other.ctx:
+                return self is other
             return (
                 self.ctx.order == other.ctx.order
                 and self.den == other.den
@@ -238,6 +273,7 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
+        # by value, so a keyed and an unkeyed scalar of one value agree
         return hash((self.ctx.order, self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------------
@@ -285,26 +321,27 @@ class Scalar:
     __rmul__ = __mul__
 
     def times(self, other: "Scalar") -> "Scalar":
-        """`self * other`, memoized on the field context (see the module
-        docstring).  A unit factor returns the other before any key is built;
-        an operand of another context object goes to `*`, which checks the
-        order."""
+        """`self * other` through the context's product memo; a unit factor returns
+        the other, and an operand of another context object goes to `*`."""
         ctx = self.ctx
         if type(other) is not Scalar or other.ctx is not ctx:
             return self * other
-        one = ctx._one.num
-        if self.den == 1 and self.num == one:
+        one = ctx._one
+        if self is one:
             return other
-        if other.den == 1 and other.num == one:
+        if other is one:
             return self
-        key = (self.num, self.den, other.num, other.den)
-        memo = ctx._products
-        out = memo.get(key)
-        if out is None:
-            if len(memo) >= PRODUCT_MEMO_SIZE:
-                memo.clear()
-            out = memo[key] = _canonical(ctx, ctx._mul(self.num, other.num), self.den * other.den)
-        return out
+        out = ctx._products.get((self.key, other.key))
+        return out if out is not None else ctx._memoized(ctx._products, Scalar.__mul__, self, other)
+
+    def plus(self, other: "Scalar") -> "Scalar":
+        """`self + other` through the context's sum memo, like `times`; a
+        sum that is 0 is the context's zero object."""
+        ctx = self.ctx
+        if type(other) is not Scalar or other.ctx is not ctx:
+            return self + other
+        out = ctx._sums.get((self.key, other.key))
+        return out if out is not None else ctx._memoized(ctx._sums, Scalar.__add__, self, other)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse through the field norm: with c the product

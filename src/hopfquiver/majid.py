@@ -55,7 +55,7 @@ from typing import Mapping
 from .cyclotomic import FieldContext, Scalar
 from .errors import ActionNotDegree1, DegreeCapExceeded, SpecError
 from .groups import Cocycle3, FiniteGroup
-from .pathcoalg import Element, _add_scaled, _nonzero, comultiplicative, counit, path_splits
+from .pathcoalg import Element, _accumulate, _add_scaled, comultiplicative, counit, path_splits
 from .quiver import HopfQuiver, Path
 from .report import VerificationReport
 
@@ -69,7 +69,7 @@ class BimoduleAction:
     decided by `verify_bimodule`.
     """
 
-    __slots__ = ("ctx", "quiver", "left", "right")
+    __slots__ = ("ctx", "quiver", "left", "right", "_zero")
 
     def __init__(
         self,
@@ -82,16 +82,18 @@ class BimoduleAction:
         self.quiver = quiver
         self.left = {k: v for k, v in left.items() if not v.is_zero()}
         self.right = {k: v for k, v in right.items() if not v.is_zero()}
+        # the value of every missing entry; shared, so callers must not mutate it
+        self._zero = Element.zero(ctx)
         for side, table in (("left", self.left), ("right", self.right)):
             for key, v in table.items():
                 if not v.is_homogeneous(1):
                     raise ActionNotDegree1((side,) + key)
 
     def left_of(self, g: int, arrow: int) -> Element:
-        return self.left.get((g, arrow), Element.zero(self.ctx))
+        return self.left.get((g, arrow), self._zero)
 
     def right_of(self, arrow: int, g: int) -> Element:
-        return self.right.get((arrow, g), Element.zero(self.ctx))
+        return self.right.get((arrow, g), self._zero)
 
     def act_left(self, g: int, x: Element) -> Element:
         """Linear extension of g . (arrow); x must be degree-1."""
@@ -246,7 +248,8 @@ class MajidStructure:
 
     Products, antipodes and the comultiplication (`splits`) of basis paths
     are memoized, each filled on first use; the caches behave as pure memos,
-    so shared concurrent reads stay consistent.
+    and the context interns the scalars in them with `dict.setdefault` and
+    keys from `itertools.count`, so shared concurrent reads stay consistent.
     """
 
     def __init__(
@@ -270,7 +273,7 @@ class MajidStructure:
         self.ctx = phi.ctx
         g = self.group
         self._beta = {
-            v: phi(v, g.inv(v), v).inverse() for v in g.elements()
+            v: self.ctx.intern(phi(v, g.inv(v), v).inverse()) for v in g.elements()
         }
         from .quiver import paths_up_to
 
@@ -364,7 +367,7 @@ class MajidStructure:
                     g = _glue(G[i - 1][j], right_of(p.arrows[i - 1], jq[j])) if i else {}
                     if j:
                         for path, c in _glue(G[i][j - 1], left_of(jp[i], q.arrows[j - 1])).items():
-                            g[path] = g[path] + c if path in g else c
+                            _accumulate(g, path, c)
                     G[i][j] = g
             out = Element(self.ctx, G[a][b])
         self._mul_cache[key] = out
@@ -375,7 +378,7 @@ class MajidStructure:
         acc: dict[Path, Scalar] = {}
         for p, a in x.terms.items():
             for q, b in y.terms.items():
-                _add_scaled(acc, self.multiply_paths(p, q), a * b)
+                _add_scaled(acc, self.multiply_paths(p, q), a.times(b))
         return Element(self.ctx, acc)
 
     # -- quasi-antipode --------------------------------------------------------
@@ -424,9 +427,7 @@ def _glue(partial: dict[Path, Scalar] | None, leg: Element) -> dict[Path, Scalar
     for path, c in partial.items():
         for ap, c2 in leg.terms.items():
             if ap.source == path.target:
-                np = Path(path.source, path.arrows + ap.arrows, ap.target)
-                add = c.times(c2)
-                out[np] = out[np] + add if np in out else add
+                _accumulate(out, Path(path.source, path.arrows + ap.arrows, ap.target), c.times(c2))
     return out
 
 
@@ -488,6 +489,7 @@ def verify_majid_axioms(structure: MajidStructure,
     # `prefix[d]` of the paths of degree <= d.
     cap = S.degree_cap
     prefix = [S.basis_up_to(d) for d in range(cap + 1)]
+    intern = ctx.intern
     count = 0
     for p, q in pairs_up_to(basis, cap):
         rs = prefix[cap - len(p.arrows) - len(q.arrows)]
@@ -497,14 +499,14 @@ def verify_majid_axioms(structure: MajidStructure,
         phi_rhs = S.phi.values[p.target][q.target]
         for r in rs:
             lhs: dict[Path, Scalar] = {}
-            coeff = phi_lhs[r.source]
+            coeff = intern(phi_lhs[r.source])
             for t, c in S.multiply_paths(q, r).terms.items():
                 _add_scaled(lhs, S.multiply_paths(p, t), coeff.times(c))
             rhs: dict[Path, Scalar] = {}
-            coeff = phi_rhs[r.target]
+            coeff = intern(phi_rhs[r.target])
             for t, c in pq.items():
                 _add_scaled(rhs, S.multiply_paths(t, r), coeff.times(c))
-            if _nonzero(lhs) != _nonzero(rhs):
+            if lhs != rhs:
                 report.add("quasi_associativity", (p, q, r))
     report.tally("quasi_associativity", count)
 

@@ -78,7 +78,7 @@ class Element:
         return Element(self.ctx, {p: -c for p, c in self.terms.items()})
 
     def scale(self, scalar: Scalar) -> "Element":
-        return Element(self.ctx, {p: scalar * c for p, c in self.terms.items()})
+        return Element(self.ctx, {p: scalar.times(c) for p, c in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -109,16 +109,22 @@ class Element:
 
 
 def _add_scaled(acc: dict[Path, Scalar], x: Element, c: Scalar) -> None:
-    """Add c * x into the coefficient dict `acc` in place; a unit c adds x's
-    coefficients as they are.  `acc` may hold zero coefficients; the
-    `Element` built from it at the end drops them."""
-    if c.is_one():
-        for p, xc in x.terms.items():
-            acc[p] = acc[p] + xc if p in acc else xc
-        return
+    """Add c * x, for a nonzero c, into the coefficient dict `acc` in place;
+    a unit c adds x's coefficients as they are.  A coefficient that cancels
+    is deleted, so `acc` holds no zero coefficient when it held none."""
+    unit = c.is_one()
     for p, xc in x.terms.items():
-        t = c.times(xc)
-        acc[p] = acc[p] + t if p in acc else t
+        _accumulate(acc, p, xc if unit else c.times(xc))
+
+
+def _accumulate(acc: dict, key, c: Scalar) -> None:
+    """acc[key] += c for a nonzero c, deleting the entry when it cancels."""
+    if key in acc:
+        c = acc[key].plus(c)
+        if c.is_zero():
+            del acc[key]
+            return
+    acc[key] = c
 
 
 def _plain_path_name(p: Path) -> str:
@@ -131,7 +137,7 @@ def element_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Iterable[dict
     terms: dict[Path, Scalar] = {}
     for item in data:
         p = quiver.path(item["source"], item.get("arrows", []))
-        c = ctx.scalar(item["coeff"])
+        c = ctx.intern(ctx.scalar(item["coeff"]))
         terms[p] = terms[p] + c if p in terms else c
     return Element(ctx, terms)
 
@@ -163,24 +169,19 @@ def comultiplicative(
     path p, and an anti-map with the pairs (f(p2), f(p1)).  `splits(p)`
     is Delta of a path as its (later, earlier) pairs, `path_splits` for the
     quiver or a memo of it such as `MajidStructure.splits`.  Both sides are
-    `{(Path, Path): Scalar}` dicts, compared with zero terms dropped."""
+    `{(Path, Path): Scalar}` dicts that hold no zero coefficient, compared
+    directly."""
     lhs: dict[tuple[Path, Path], Scalar] = {}
     for p, c in x.terms.items():
         for pair in splits(p):
-            lhs[pair] = lhs[pair] + c if pair in lhs else c
+            _accumulate(lhs, pair, c)
     rhs: dict[tuple[Path, Path], Scalar] = {}
     for y, z in pairs:
         for yp, yc in y.terms.items():
             unit = yc.is_one()
             for zp, zc in z.terms.items():
-                key = (yp, zp)
-                c = zc if unit else yc.times(zc)
-                rhs[key] = rhs[key] + c if key in rhs else c
-    return _nonzero(lhs) == _nonzero(rhs)
-
-
-def _nonzero(terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if not c.is_zero()}
+                _accumulate(rhs, (yp, zp), zc if unit else yc.times(zc))
+    return lhs == rhs
 
 
 def counit(x: Element) -> Scalar:

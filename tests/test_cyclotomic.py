@@ -3,6 +3,8 @@ oracle for multiplication in Q(zeta_3), and a differential check of the
 integer-numerator scalars against Fraction-coordinate arithmetic."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -217,6 +219,10 @@ def test_scalar_matches_fraction_oracle(case):
     assert_matches(hit, A * B)
     assert hit is miss or fa.is_one() or fb.is_one()
     assert_matches(a.times(b), A * B)
+    total = fa.plus(fb)
+    assert total is fa.plus(fb)
+    assert_matches(total, A + B)
+    assert_matches(a.plus(b), A + B)
     assert_matches(a ** 3, A ** 3)
     assert (a == b) == (A == B)
     if not a.is_zero():
@@ -226,20 +232,30 @@ def test_scalar_matches_fraction_oracle(case):
 
 
 def test_times_memo_stays_bounded():
-    """72^2 distinct products, more than the memo holds: every one equals
-    `*`, on the first pass and on a second, and the memo never grows past
-    its bound (it reaches it, so it is cleared at least once)."""
+    """96^2 products, more than the product memo holds, of 96 values whose
+    products are more than the intern table holds (commuting factors give
+    96 * 97 / 2 = 4656 of them; 72 values would give at most 2628).  Every
+    product equals `*`, on the first pass and on a second.  The product memo
+    never grows past its bound and reaches it, so it is cleared.  The intern
+    table fills to its bound and no further, and the products of new values
+    after that are unkeyed."""
     ctx = FieldContext(5)
-    values = [ctx.scalar([i, j, 1, 0]) for i in range(1, 9) for j in range(1, 10)]
+    values = [ctx.scalar([i, j, 1, 0]) for i in range(1, 9) for j in range(1, 13)]
     assert len(values) ** 2 > PRODUCT_MEMO_SIZE
     largest = 0
+    unkeyed = 0
     for _ in range(2):
         for a in values:
             for b in values:
-                assert a.times(b) == a * b
+                out = a.times(b)
+                assert out == a * b
+                unkeyed += out.key is None
                 largest = max(largest, len(ctx._products))
                 assert largest <= PRODUCT_MEMO_SIZE
+                assert len(ctx._interned) <= PRODUCT_MEMO_SIZE
     assert largest == PRODUCT_MEMO_SIZE
+    assert len(ctx._interned) == PRODUCT_MEMO_SIZE
+    assert unkeyed > 0
 
 
 def test_times_mixed_contexts():
@@ -261,6 +277,92 @@ def test_times_mixed_contexts():
     other = FieldContext(3).scalar([1, 3])
     assert a.times(other) == product
     assert other.times(a) == product
+
+
+def _seeded_grid(ctx, seed):
+    """Roots of unity and their negatives, 0, 1, 1/3 and three dense values
+    with coordinates fixed by `seed`."""
+    rng = random.Random(seed)
+    dense = [
+        ctx.scalar([
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+            for _ in range(ctx.degree)
+        ])
+        for _ in range(3)
+    ]
+    roots = [ctx.root_of_unity(k) for k in range(ctx.order)]
+    return roots + [-z for z in roots] + [ctx.zero(), ctx.one(), ctx.scalar("1/3")] + dense
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_plus_times_match_direct_on_seeded_grid(m):
+    """On a fresh context, `plus` and `times` equal `+` and `*` on every
+    pair of the grid, and return the interned object of the value (the
+    same object when repeated), except that a factor that is the context's
+    1 returns the other; a sum that cancels is the zero object."""
+    ctx = FieldContext(m)
+    one = ctx.one()
+    grid = _seeded_grid(ctx, m)
+    for _ in range(2):
+        for a in grid:
+            for b in grid:
+                total, product = a.plus(b), a.times(b)
+                assert total == a + b and product == a * b
+                assert total is ctx.intern(a + b) and total.key is not None
+                if a is not one and b is not one:
+                    assert product is ctx.intern(a * b) and product.key is not None
+    for a in grid:
+        assert a.plus(-a) is ctx.zero()
+
+
+def test_interned_and_unkeyed_scalars_agree():
+    """An interned scalar and an unkeyed one of the same value are equal
+    both ways and hash alike; keyed scalars of two FieldContext(3) objects
+    compare by value."""
+    ctx = FieldContext(3)
+    for raw in ([2, 1], "5/7", 1, 0):
+        loose = ctx.scalar(raw)
+        keyed = ctx.intern(ctx.scalar(raw))
+        assert loose.key is None and keyed.key is not None
+        assert loose == keyed and keyed == loose
+        assert hash(loose) == hash(keyed)
+        assert len({loose, keyed}) == 1
+    other = FieldContext(3)
+    a = ctx.intern(ctx.scalar([2, 1]))
+    b = other.intern(other.scalar([2, 1]))
+    c = other.intern(other.scalar([1, 2]))
+    assert a is not b and a.key is not None and b.key is not None
+    assert a == b and b == a and hash(a) == hash(b)
+    assert a != c and c != a
+    assert a.plus(b) == a + b and a.times(c) == a * c
+
+
+def test_interning_from_threads_keeps_one_object_per_value():
+    """4 threads intern the same 200 values, each from its own unkeyed
+    copies, with a short switch interval: every thread gets the same object
+    for a value, and the table holds one entry per value."""
+    ctx = FieldContext(7)
+    raws = [[k, 1, 0, k % 3, 0, 1] for k in range(200)]
+    results = [None] * 4
+
+    def worker(i):
+        results[i] = [ctx.intern(ctx.scalar(r)) for r in raws]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results[1:]:
+        assert all(x is y for x, y in zip(got, results[0]))
+    assert len({id(x) for x in results[0]}) == len(raws)
+    assert len(ctx._interned) == len(raws) + 2  # and 0 and 1
 
 
 # -- the inverse through the field norm against extended Euclid ------------

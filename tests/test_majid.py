@@ -6,10 +6,14 @@ the sign cocycle over Q(i), and the Z_4 two-block structure with the standard
 cocycle over Q(zeta_8).
 """
 
+import json
+
 import pytest
 
+import hopfquiver.problem
 from hopfquiver import (
     Element,
+    FieldContext,
     RamificationData,
     cyclic_group,
     field_context,
@@ -20,6 +24,7 @@ from hopfquiver import (
     verify_majid_axioms,
 )
 from hopfquiver.actions import cyclic_action_from_seeds, taft_action
+from hopfquiver.cyclotomic import PRODUCT_MEMO_SIZE
 from hopfquiver.errors import ActionNotDegree1, DegreeCapExceeded
 from hopfquiver.majid import BimoduleAction, MajidStructure
 from hopfquiver.pathcoalg import counit
@@ -376,6 +381,41 @@ def test_coalgebra_map_checks_fire_on_mutants(side, key, arrow, check):
     T = MajidStructure(quiver, phi, mutant, 3)
     fired = verify_majid_axioms(T).violations + verify_translations(T).violations
     assert check in {v.check for v in fired}
+
+
+def _verdicts_on(ctx, monkeypatch):
+    """The `verify_majid_axioms` JSON of z2_two_slot_nontrivial_cocycle at
+    cap 4 and of its mutant with the first action entry doubled, with the
+    problem's scalars in `ctx`."""
+    monkeypatch.setattr(hopfquiver.problem, "field_context", lambda m: ctx)
+    raw = json.loads((SPECS_DIR / "z2_two_slot_nontrivial_cocycle.json").read_text())
+    raw["degree_cap"] = 4
+    S = hopfquiver.problem.problem_from_dict(raw).structure()
+    assert S.ctx is ctx
+    side, key, value = S.action.entries()[0]
+    mutant = S.action.with_entry(side, key, value.scale(ctx.scalar(2)))
+    T = MajidStructure(S.quiver, S.phi, mutant, 4)
+    return [verify_majid_axioms(X).to_json() for X in (S, T)], S
+
+
+def test_kernels_fall_back_when_the_intern_table_is_full(monkeypatch):
+    """On a context whose intern table is already full, the spec's scalars
+    stay unkeyed and every product and sum goes the direct path; the
+    verdicts, of the valid structure and of a failing mutant, equal those
+    on a context with room."""
+    full = FieldContext(4)
+    k = 0
+    while len(full._interned) < PRODUCT_MEMO_SIZE:
+        full.intern(full.scalar(f"{k}/7919"))
+        k += 1
+    got, S = _verdicts_on(full, monkeypatch)
+    want, _ = _verdicts_on(FieldContext(4), monkeypatch)
+    assert got == want
+    assert got[0]["ok"] and not got[1]["ok"]
+    assert len(full._interned) == PRODUCT_MEMO_SIZE
+    assert any(
+        c.key is None for x in S._mul_cache.values() for c in x.terms.values()
+    )
 
 
 def test_corrupted_action_detected_by_axioms():
