@@ -172,6 +172,8 @@ class FieldContext:
     def intern(self, s: "Scalar") -> "Scalar":
         """The keyed scalar equal to s (a scalar of this order), or s when the
         table is full and lacks it; threads that miss on one value get one object."""
+        if s.ctx.order != self.order:
+            raise ValueError("cannot mix scalars of different cyclotomic orders")
         out = self._interned.get((s.num, s.den))
         if out is None and len(self._interned) < PRODUCT_MEMO_SIZE:
             out = Scalar(self, s.num, s.den, next(self._keys))
@@ -183,12 +185,11 @@ class FieldContext:
         a, b = self.intern(a), self.intern(b)
         if a.key is None or b.key is None:
             return self.intern(op(a, b))
-        key = (a.key, b.key)
-        out = memo.get(key)
+        out = memo.get((a.key, b.key))
         if out is None:
             if len(memo) >= PRODUCT_MEMO_SIZE:
                 memo.clear()
-            out = memo[key] = self.intern(op(a, b))
+            out = memo[a.key, b.key] = self.intern(op(a, b))
         return out
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -335,8 +336,7 @@ class Scalar:
         return out if out is not None else ctx._memoized(ctx._products, Scalar.__mul__, self, other)
 
     def plus(self, other: "Scalar") -> "Scalar":
-        """`self + other` through the context's sum memo, like `times`; a
-        sum that is 0 is the context's zero object."""
+        """`self + other` through the context's sum memo, like `times`."""
         ctx = self.ctx
         if type(other) is not Scalar or other.ctx is not ctx:
             return self + other

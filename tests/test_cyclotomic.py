@@ -318,7 +318,7 @@ def test_plus_times_match_direct_on_seeded_grid(m):
 def test_interned_and_unkeyed_scalars_agree():
     """An interned scalar and an unkeyed one of the same value are equal
     both ways and hash alike; keyed scalars of two FieldContext(3) objects
-    compare by value."""
+    compare by value, and Q(i) does not intern a Q(zeta_3) scalar."""
     ctx = FieldContext(3)
     for raw in ([2, 1], "5/7", 1, 0):
         loose = ctx.scalar(raw)
@@ -335,6 +335,8 @@ def test_interned_and_unkeyed_scalars_agree():
     assert a == b and b == a and hash(a) == hash(b)
     assert a != c and c != a
     assert a.plus(b) == a + b and a.times(c) == a * c
+    with pytest.raises(ValueError):
+        field_context(4).intern(a)
 
 
 def test_interning_from_threads_keeps_one_object_per_value():
