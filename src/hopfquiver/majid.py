@@ -38,18 +38,19 @@ Non-composable tuples are dropped; with valid bimodule data their total
 coefficient is zero anyway, and with invalid data the coalgebra-morphism
 check exposes the defect rather than hiding it.
 
-The quasi-antipode acts on vertices by group inversion, on arrows by
+The quasi-antipode acts on vertices by group inversion, on arrows a: s -> t by
 
     S_1(a) = -[Phi(s,s,s^-1) / Phi(t,s,s^-1)] * (t^-1 . a) . s^-1,
 
-and on a length-n path by expanding S_1 of each arrow and summing composable
-concatenations in reversed order (the map comes from the coopposite
-coalgebra, hence the reversal).
+the product (t^-1 . a) . s^-1 taken in the graded algebra, and on a length-n
+path by expanding S_1 of each arrow and summing composable concatenations in
+reversed order (the map comes from the coopposite coalgebra, hence the reversal).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 from typing import Mapping
 
 from .cyclotomic import FieldContext, Scalar
@@ -95,19 +96,6 @@ class BimoduleAction:
     def right_of(self, arrow: int, g: int) -> Element:
         return self.right.get((arrow, g), self._zero)
 
-    def act_left(self, g: int, x: Element) -> Element:
-        """Linear extension of g . (arrow); x must be degree-1."""
-        acc: dict[Path, Scalar] = {}
-        for p, c in x.terms.items():
-            _add_scaled(acc, self.left_of(g, p.arrows[0]), c)
-        return Element(self.ctx, acc)
-
-    def act_right(self, x: Element, g: int) -> Element:
-        acc: dict[Path, Scalar] = {}
-        for p, c in x.terms.items():
-            _add_scaled(acc, self.right_of(p.arrows[0], g), c)
-        return Element(self.ctx, acc)
-
     def entries(self) -> list[tuple[str, tuple[int, int], Element]]:
         """All nonzero entries, deterministically ordered."""
         out = [("left", k, v) for k, v in sorted(self.left.items())]
@@ -135,58 +123,82 @@ class BimoduleAction:
 
 
 def action_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Mapping) -> BimoduleAction:
+    """The action tables of a problem file's `action` object.  Malformed
+    input raises SpecError naming its place, as in `action.left[3].value[0]`."""
     from .pathcoalg import element_from_json
 
-    def value_of(item) -> Element:
-        raw = item["value"]
-        # accept either full element JSON or a bare list of arrow terms
+    def value_of(raw, where) -> Element:
+        # accept either full element JSON or a bare list of arrow terms; the
+        # place `where()` of the value is formatted only for an error message
+        if not isinstance(raw, list):
+            raise SpecError(f"{where()} is not a list of terms")
         terms = []
-        for t in raw:
+        for j, t in enumerate(raw):
+            if not isinstance(t, dict) or "coeff" not in t:
+                raise SpecError(f"{where()}[{j}] is not a term object with a coeff")
             if "arrows" in t or "source" in t:
+                if "source" not in t or not isinstance(t.get("arrows", []), list):
+                    raise SpecError(f"{where()}[{j}] needs a source and a list of arrows")
                 terms.append(t)
             else:
-                idx = t["arrow"]
+                idx = t.get("arrow")
                 if not quiver.has_arrow(idx):
-                    raise ValueError(f"no arrow {idx!r}")
-                terms.append(
-                    {"source": quiver.arrow(idx).source, "arrows": [idx], "coeff": t["coeff"]}
-                )
-        return element_from_json(ctx, quiver, terms)
+                    raise SpecError(f"{where()}[{j}]: no arrow {idx!r}")
+                source = quiver.arrow(idx).source
+                terms.append({"source": source, "arrows": [idx], "coeff": t["coeff"]})
+        try:
+            return element_from_json(ctx, quiver, terms)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"{where()}: {exc}") from exc
 
     left, right = {}, {}
     for side, table in (("left", left), ("right", right)):
-        for item in data.get(side, []):
-            g, a = item["g"], item["arrow"]
+        items = data.get(side, [])
+        if not isinstance(items, list):
+            raise SpecError(f"action.{side} is not a list")
+        for i, item in enumerate(items):
+            try:
+                g, a, raw = item["g"], item["arrow"], item["value"]
+            except (TypeError, KeyError):
+                raise SpecError(f"action.{side}[{i}] needs g, arrow and value") from None
             # `type(x) is int` rejects bool, which JSON true/false parse to
             if type(g) is not int or not 0 <= g < quiver.group.order:
-                raise SpecError(f"action.{side}: g={g!r} is not a group element")
+                raise SpecError(f"action.{side}[{i}]: g={g!r} is not a group element")
             if not quiver.has_arrow(a):
-                raise SpecError(f"action.{side}: arrow={a!r} is not an arrow of the quiver")
-            table[(g, a) if side == "left" else (a, g)] = value_of(item)
+                raise SpecError(f"action.{side}[{i}]: arrow={a!r} is not an arrow of the quiver")
+            key = (g, a) if side == "left" else (a, g)
+            table[key] = value_of(raw, lambda: f"action.{side}[{i}].value")
     return BimoduleAction(ctx, quiver, left, right)
 
 
 def verify_bimodule(group: FiniteGroup, phi: Cocycle3, action: BimoduleAction) -> VerificationReport:
     """Exhaustively check the Majid-bimodule axioms of the action tables.
 
-    Per arrow m spanning the isotypic component with target g and source h:
+    They are the unit law (2.2) and quasi-associativity (2.1) in degree 1,
+    evaluated through the product of a cap-1 `MajidStructure`.  Per arrow
+    a: h -> g and group elements e, f, juxtaposition being that product:
 
-    * unit: identity acts as the identity map on both sides;
-    * left quasi-associativity   e.(f.m) = [Phi(e,f,g)/Phi(e,f,h)] (ef).m;
-    * right quasi-associativity  (m.e).f = [Phi(h,e,f)/Phi(g,e,f)] m.(ef);
-    * middle compatibility       (e.m).f = [Phi(e,h,f)/Phi(e,g,f)] e.(m.f);
-    * bicomodule targets: f.m lands in the (fg, fh) component, m.f in (gf, hf).
+    * unit: the identity vertex times a is a, on both sides;
+    * left quasi-associativity, (2.1) on (e, f, a): Phi(e,f,h) e(fa) = Phi(e,f,g) (ef)a;
+    * right quasi-associativity, (2.1) on (a, e, f): Phi(h,e,f) a(ef) = Phi(g,e,f) (ae)f;
+    * middle compatibility, (2.1) on (e, a, f): Phi(e,h,f) e(af) = Phi(e,g,f) (ea)f;
+    * bicomodule targets: f.a lands in the (fg, fh) component, a.f in (gf, hf).
+
+    Phi has no zero value (the loader refuses one), so these say the same as
+    the ratio forms, such as e(fa) = [Phi(e,f,g)/Phi(e,f,h)] (ef)a.
     """
     quiver = action.quiver
+    S = MajidStructure(quiver, phi, action, 1)
     report = VerificationReport()
-    e0 = group.identity
+    unit = quiver.vertex_path(group.identity)
     arrows = quiver.arrows
 
     for a in arrows:
-        m = Element.of_path(action.ctx, quiver.arrow_path(a.index))
-        if action.act_left(e0, m) != m:
+        m = quiver.arrow_path(a.index)
+        x = Element.of_path(action.ctx, m)
+        if S.multiply_paths(unit, m) != x:
             report.add("bimodule_unit_left", (a.index,))
-        if action.act_right(m, e0) != m:
+        if S.multiply_paths(m, unit) != x:
             report.add("bimodule_unit_right", (a.index,))
     report.tally("bimodule_unit_left", len(arrows))
     report.tally("bimodule_unit_right", len(arrows))
@@ -194,46 +206,29 @@ def verify_bimodule(group: FiniteGroup, phi: Cocycle3, action: BimoduleAction) -
     for a in arrows:
         g, h = a.target, a.source
         for f in group.elements():
-            lv = action.left_of(f, a.index)
-            for p in lv.terms:
-                arr = quiver.arrow(p.arrows[0])
-                if arr.target != group.mul(f, g) or arr.source != group.mul(f, h):
-                    report.add(
-                        "bicomodule_left", (f, a.index),
-                        f"term a{p.arrows[0]} outside component ({group.mul(f, g)},{group.mul(f, h)})",
-                    )
-            rv = action.right_of(a.index, f)
-            for p in rv.terms:
-                arr = quiver.arrow(p.arrows[0])
-                if arr.target != group.mul(g, f) or arr.source != group.mul(h, f):
-                    report.add(
-                        "bicomodule_right", (a.index, f),
-                        f"term a{p.arrows[0]} outside component ({group.mul(g, f)},{group.mul(h, f)})",
-                    )
+            for check, key, value, (tg, sc) in (
+                ("bicomodule_left", (f, a.index), action.left_of(f, a.index),
+                 (group.mul(f, g), group.mul(f, h))),
+                ("bicomodule_right", (a.index, f), action.right_of(a.index, f),
+                 (group.mul(g, f), group.mul(h, f))),
+            ):
+                for p in value.terms:
+                    arr = quiver.arrow(p.arrows[0])
+                    if arr.target != tg or arr.source != sc:
+                        report.add(check, key, f"term a{p.arrows[0]} outside component ({tg},{sc})")
     report.tally("bicomodule_left", len(arrows) * group.order)
     report.tally("bicomodule_right", len(arrows) * group.order)
 
+    vertex = quiver.vertex_path
     for a in arrows:
-        g, h = a.target, a.source
-        m = Element.of_path(action.ctx, quiver.arrow_path(a.index))
+        m = quiver.arrow_path(a.index)
         for e in group.elements():
             for f in group.elements():
-                ratio = phi(e, f, g) / phi(e, f, h)
-                lhs = action.act_left(e, action.act_left(f, m))
-                rhs = action.act_left(group.mul(e, f), m).scale(ratio)
-                if lhs != rhs:
+                if not _associates(S, vertex(e), vertex(f), m):
                     report.add("bimodule_left_assoc", (e, f, a.index))
-
-                ratio = phi(h, e, f) / phi(g, e, f)
-                lhs = action.act_right(action.act_right(m, e), f)
-                rhs = action.act_right(m, group.mul(e, f)).scale(ratio)
-                if lhs != rhs:
+                if not _associates(S, m, vertex(e), vertex(f)):
                     report.add("bimodule_right_assoc", (a.index, e, f))
-
-                ratio = phi(e, h, f) / phi(e, g, f)
-                lhs = action.act_right(action.act_left(e, m), f)
-                rhs = action.act_left(e, action.act_right(m, f)).scale(ratio)
-                if lhs != rhs:
+                if not _associates(S, vertex(e), m, vertex(f)):
                     report.add("bimodule_middle_assoc", (e, a.index, f))
     n2a = group.order * group.order * len(arrows)
     report.tally("bimodule_left_assoc", n2a)
@@ -271,10 +266,6 @@ class MajidStructure:
         self.action = action
         self.degree_cap = degree_cap
         self.ctx = phi.ctx
-        g = self.group
-        self._beta = {
-            v: self.ctx.intern(phi(v, g.inv(v), v).inverse()) for v in g.elements()
-        }
         from .quiver import paths_up_to
 
         self._basis = paths_up_to(quiver, degree_cap)
@@ -308,6 +299,12 @@ class MajidStructure:
         return out
 
     # -- the functionals ------------------------------------------------------
+
+    @cached_property
+    def _beta(self) -> dict[int, Scalar]:
+        """Phi(v, v^-1, v)^-1 per vertex v, on first use (`verify_bimodule` needs none)."""
+        g = self.group
+        return {v: self.ctx.intern(self.phi(v, g.inv(v), v).inverse()) for v in g.elements()}
 
     def beta_of_path(self, p: Path) -> Scalar:
         return self._beta[p.source] if p.is_vertex() else self.ctx.zero()
@@ -393,10 +390,10 @@ class MajidStructure:
         elif len(p.arrows) == 1:
             # S_1 of the module docstring
             s, t = p.source, p.target
-            s_inv, t_inv = g.inv(s), g.inv(t)
+            s_inv = g.inv(s)
             prefactor = -(self.phi(s, s, s_inv) / self.phi(t, s, s_inv))
-            core = self.action.act_right(
-                self.action.act_left(t_inv, Element.of_path(self.ctx, p)), s_inv
+            core = self.multiply(
+                self.multiply_paths(self.quiver.vertex_path(g.inv(t)), p), self.vertex(s_inv)
             )
             out = core.scale(prefactor)
         else:
@@ -433,6 +430,29 @@ def _glue(partial: dict[Path, Scalar] | None, leg: Element) -> dict[Path, Scalar
 
 # ---------------------------------------------------------------------------
 # the full axiom verifier
+
+
+def _associates(S: MajidStructure, p: Path, q: Path, r: Path, pq: dict | None = None) -> bool:
+    """(2.1) on the basis triple (p, q, r), with the trivially extended
+    reassociator: Phi(s(p),s(q),s(r)) p(qr) = Phi(t(p),t(q),t(r)) (pq)r.
+
+    Phi vanishes on a split triple unless its three reassociator legs are
+    vertices, and each path has exactly one split with a vertex right part,
+    (p, s(p)), for the lhs and one with a vertex left part, (t(p), p), for
+    the rhs: the sum over the splits is that one term on each side.  A
+    caller looping over r passes the terms `pq` of p q, looked up once."""
+    if pq is None:
+        pq = S.multiply_paths(p, q).terms
+    intern = S.ctx.intern
+    lhs: dict[Path, Scalar] = {}
+    coeff = intern(S.phi.values[p.source][q.source][r.source])
+    for t, c in S.multiply_paths(q, r).terms.items():
+        _add_scaled(lhs, S.multiply_paths(p, t), coeff.times(c))
+    rhs: dict[Path, Scalar] = {}
+    coeff = intern(S.phi.values[p.target][q.target][r.target])
+    for t, c in pq.items():
+        _add_scaled(rhs, S.multiply_paths(t, r), coeff.times(c))
+    return lhs == rhs
 
 
 def pairs_up_to(paths: list[Path], cap: int):
@@ -480,33 +500,18 @@ def verify_majid_axioms(structure: MajidStructure,
     one = ctx.one()
     e = group.identity
 
-    # (2.1) quasi-associativity with the trivially extended reassociator.
-    # Phi vanishes on a split triple unless its three reassociator legs are
-    # vertices, and each path has exactly one split with a vertex right part,
-    # (p, s(p)), for the lhs and one with a vertex left part, (t(p), p), for
-    # the rhs: the sum is that one term on each side.  The triples (p, q, r)
-    # of total degree <= cap run in basis order, r over the basis prefix
-    # `prefix[d]` of the paths of degree <= d.
+    # (2.1) quasi-associativity on the triples (p, q, r) of total degree
+    # <= cap, in basis order, r over the basis prefix `prefix[d]` of the
+    # paths of degree <= d
     cap = S.degree_cap
     prefix = [S.basis_up_to(d) for d in range(cap + 1)]
-    intern = ctx.intern
     count = 0
     for p, q in pairs_up_to(basis, cap):
         rs = prefix[cap - len(p.arrows) - len(q.arrows)]
         count += len(rs)
         pq = S.multiply_paths(p, q).terms
-        phi_lhs = S.phi.values[p.source][q.source]
-        phi_rhs = S.phi.values[p.target][q.target]
         for r in rs:
-            lhs: dict[Path, Scalar] = {}
-            coeff = intern(phi_lhs[r.source])
-            for t, c in S.multiply_paths(q, r).terms.items():
-                _add_scaled(lhs, S.multiply_paths(p, t), coeff.times(c))
-            rhs: dict[Path, Scalar] = {}
-            coeff = intern(phi_rhs[r.target])
-            for t, c in pq.items():
-                _add_scaled(rhs, S.multiply_paths(t, r), coeff.times(c))
-            if lhs != rhs:
+            if not _associates(S, p, q, r, pq):
                 report.add("quasi_associativity", (p, q, r))
     report.tally("quasi_associativity", count)
 

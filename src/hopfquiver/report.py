@@ -81,16 +81,3 @@ class VerificationReport:
             "checked": rep.counts,
             "violations": [v.to_json() for v in rep.violations],
         }
-
-    def summary(self) -> str:
-        rep = self.sorted()
-        lines = []
-        total = sum(rep.counts.values())
-        lines.append(f"{'PASS' if rep.ok else 'FAIL'}: {total} instances checked")
-        for name, n in rep.counts.items():
-            lines.append(f"  {name}: {n} checked")
-        for v in rep.violations[:50]:
-            lines.append(f"  VIOLATION {v.check} at {v.witness} {v.detail}".rstrip())
-        if len(rep.violations) > 50:
-            lines.append(f"  ... and {len(rep.violations) - 50} more violations")
-        return "\n".join(lines)

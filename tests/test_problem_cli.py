@@ -7,7 +7,8 @@ import pytest
 
 from hopfquiver.cli import main, parse_element
 from hopfquiver.errors import SpecError
-from hopfquiver.problem import load_problem
+import hopfquiver.problem
+from hopfquiver.problem import MAX_FIELD_ORDER, load_problem
 
 from conftest import SPECS_DIR, make_taft_structure
 
@@ -221,9 +222,10 @@ def _exit_code_of(tmp_path, data):
 def test_cli_out_of_range_action_key_exits_2(tmp_path, capsys, entry, named):
     for side in ("left", "right"):
         data = base_spec()
+        index = len(data["action"][side])
         data["action"][side].append(entry)
         assert _exit_code_of(tmp_path, data) == 2, side
-        assert f"action.{side}: {named} " in capsys.readouterr().err
+        assert f"action.{side}[{index}]: {named} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -276,12 +278,27 @@ def _set_table(data, values):
             data, [[["1", "1"], ["1"]], _PLANE])),
         ("cocycle.values[1][1][1] is not a scalar", lambda data: _set_table(
             data, [_PLANE, [["1", "1"], ["1", {"re": 1}]]])),
+        ("action.left is not a list", lambda data: data["action"].update(left=5)),
+        ("action.left[0] needs g, arrow and value", lambda data: data["action"].update(left=[5])),
+        ("action.right[1] needs g, arrow and value",
+         lambda data: data["action"]["right"][1].pop("value")),
+        ("action.left[1].value is not a list of terms",
+         lambda data: data["action"]["left"][1].update(value={"x": 1})),
+        ("action.left[1].value[0] is not a term object",
+         lambda data: data["action"]["left"][1].update(value=[5])),
+        ("action.left[1].value[0] needs a source and a list of arrows",
+         lambda data: data["action"]["left"][1]["value"][0].update(arrows=5)),
+        ("action.left[1].value: cannot interpret {} as a scalar",
+         lambda data: data["action"]["left"][1]["value"][0].update(coeff={})),
     ],
     ids=[
         "class_rep_outside_group", "boolean_degree_cap", "boolean_mult",
         "action_list", "action_null", "tasks_int", "tasks_string",
         "cocycle_long_table", "cocycle_int_plane", "cocycle_long_plane",
         "cocycle_long_row", "cocycle_short_row", "cocycle_object_entry",
+        "action_left_int", "action_left_int_entry", "action_entry_without_value",
+        "action_value_object", "action_term_int", "action_term_int_arrows",
+        "action_term_object_coeff",
     ],
 )
 def test_cli_bad_integer_field_exits_2(tmp_path, capsys, field, edit):
@@ -289,6 +306,18 @@ def test_cli_bad_integer_field_exits_2(tmp_path, capsys, field, edit):
     edit(data)
     assert _exit_code_of(tmp_path, data) == 2
     assert field in capsys.readouterr().err
+
+
+def test_cli_field_order_above_bound_exits_2(tmp_path, capsys, monkeypatch):
+    """The bound is checked before any context of that order is built."""
+    def refuse(m):
+        raise AssertionError(f"field_context({m}) was built")
+
+    monkeypatch.setattr(hopfquiver.problem, "field_context", refuse)
+    data = base_spec()
+    data["field_order"] = MAX_FIELD_ORDER + 1
+    assert _exit_code_of(tmp_path, data) == 2
+    assert f"field_order {MAX_FIELD_ORDER + 1} is above" in capsys.readouterr().err
 
 
 def test_cli_degree_cap_override(tmp_path, capsys):
