@@ -8,7 +8,6 @@ from .groups import (
     FiniteGroup,
     RamificationData,
     build_group,
-    cocycle_from_table,
     cyclic_group,
     dihedral_group,
     small_groups,
@@ -20,6 +19,7 @@ from .groups import (
 )
 from .majid import BimoduleAction, MajidStructure, verify_bimodule, verify_majid_axioms
 from .pathcoalg import Element, counit
+from .problem import cocycle_from_table
 from .quiver import (
     AbstractQuiver,
     HopfQuiver,

@@ -22,7 +22,7 @@ from .errors import DegreeCapExceeded, HopfQuiverError, IsoCheckFailed, NotSingl
 from .groups import verify_cocycle
 from .majid import MajidStructure, verify_bimodule, verify_majid_axioms
 from .pathcoalg import Element
-from .problem import ProblemSpec, load_problem
+from .problem import KNOWN_TASKS, ProblemSpec, load_problem
 from .quiver import connected_components, quiver_to_json, to_dot
 from .structure import (
     block_product_check,
@@ -166,8 +166,7 @@ def run_tasks(spec: ProblemSpec, tasks: tuple[str, ...], args) -> tuple[dict, bo
         wanted += ["verify", "decompose", "crossed_product"]
         if spec.quiver.num_vertices == 1:
             wanted.append("primitives")
-    ordered = [t for t in ("verify", "multiply", "antipode", "decompose",
-                           "crossed_product", "primitives") if t in wanted]
+    ordered = [t for t in KNOWN_TASKS if t in wanted]
     all_ok = True
     for task in ordered:
         if task == "verify":
@@ -234,9 +233,7 @@ def _write_reports(results: dict, out_dir: str) -> tuple[FsPath, FsPath]:
 def _cmd_run(args) -> int:
     spec = load_problem(args.spec)
     if args.degree_cap is not None:
-        raw = dict(spec.raw)
-        raw["degree_cap"] = args.degree_cap
-        spec = load_problem(raw)
+        spec = spec.with_degree_cap(args.degree_cap)
     tasks = tuple(args.task) if args.task else spec.tasks
     results, all_ok = run_tasks(spec, tasks, args)
     json_path, text_path = _write_reports(results, args.out)
@@ -271,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="build the structure and execute tasks")
     run.add_argument("--spec", required=True, help="problem file (JSON)")
-    run.add_argument("--task", action="append", help="override the file's task list (repeatable)")
+    run.add_argument("--task", action="append", choices=KNOWN_TASKS,
+                     help="override the file's task list (repeatable)")
     run.add_argument("--degree-cap", type=int, default=None, help="override the file's degree cap")
     run.add_argument("--out", default=".", help="directory for report.json / report.txt")
     run.add_argument("--format", choices=("json", "text"), default="text",

@@ -36,16 +36,6 @@ class ZeroCocycleValue(HopfQuiverError):
         super().__init__(f"cocycle value at {triple} is zero; it must be invertible")
 
 
-class MalformedCocycleTable(HopfQuiverError):
-    """A cocycle table is not an n x n x n array of scalars: `index` is () for
-    the table, (a,) for a plane, (a, b) for a row, (a, b, c) for an entry."""
-
-    def __init__(self, index, reason):
-        self.index = index
-        self.reason = reason
-        super().__init__(f"cocycle table at {index}: {reason}")
-
-
 class ActionNotDegree1(HopfQuiverError):
     def __init__(self, key):
         self.key = key

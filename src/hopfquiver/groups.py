@@ -14,14 +14,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .cyclotomic import FieldContext, Scalar
-from .errors import (
-    MalformedCocycleTable,
-    NoIdentity,
-    NoInverse,
-    NotAssociative,
-    RootNotInField,
-    ZeroCocycleValue,
-)
+from .errors import NoIdentity, NoInverse, NotAssociative, RootNotInField, ZeroCocycleValue
 from .report import VerificationReport
 
 
@@ -255,52 +248,6 @@ class Cocycle3:
             self.ctx,
             tuple(tuple(tuple(row) for row in plane) for plane in values),
         )
-
-
-def _entry_key(raw):
-    """The parse-memo key of one table entry: its type and value, and for a
-    coordinate list the type and value of each coordinate.  The type is part
-    of the key because 1 == True and hash(1) == hash(True), so a key of the
-    value alone would read `true` as an earlier `1`."""
-    if isinstance(raw, (list, tuple)):
-        return type(raw), tuple((type(x), x) for x in raw)
-    return type(raw), raw
-
-
-def _checked_rows(table, index: tuple, n: int, what: str):
-    if not isinstance(table, (list, tuple)) or len(table) != n:
-        raise MalformedCocycleTable(index, f"is not a list of {n} {what}")
-    return table
-
-
-def cocycle_from_table(group: FiniteGroup, ctx: FieldContext, values) -> Cocycle3:
-    """Wrap a dense n x n x n value table, rejecting zero entries.
-
-    A plane, row or entry that is not of that shape, or an entry that is not
-    a scalar, raises MalformedCocycleTable at its index.  Equal entries (by
-    `_entry_key`) are parsed once and share one Scalar.
-    """
-    n = group.order
-    parsed = {}
-    out = []
-    for a, plane in enumerate(_checked_rows(values, (), n, "planes")):
-        out_plane = []
-        for b, row in enumerate(_checked_rows(plane, (a,), n, "rows")):
-            out_row = []
-            for c, raw in enumerate(_checked_rows(row, (a, b), n, "values")):
-                try:
-                    key = _entry_key(raw)
-                    v = parsed.get(key)
-                    if v is None:
-                        v = parsed[key] = ctx.scalar(raw)
-                except (TypeError, ValueError, ArithmeticError) as exc:
-                    raise MalformedCocycleTable((a, b, c), f"is not a scalar: {exc}") from exc
-                if v.is_zero():
-                    raise ZeroCocycleValue((a, b, c))
-                out_row.append(v)
-            out_plane.append(tuple(out_row))
-        out.append(tuple(out_plane))
-    return Cocycle3(group, ctx, tuple(out))
 
 
 def trivial_cocycle(group: FiniteGroup, ctx: FieldContext) -> Cocycle3:

@@ -54,7 +54,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .cyclotomic import FieldContext, Scalar
-from .errors import ActionNotDegree1, DegreeCapExceeded, SpecError
+from .errors import ActionNotDegree1, DegreeCapExceeded
 from .groups import Cocycle3, FiniteGroup
 from .pathcoalg import Element, _accumulate, _add_scaled, comultiplicative, counit, path_splits
 from .quiver import HopfQuiver, Path
@@ -120,55 +120,6 @@ class BimoduleAction:
                 for (a, g), v in sorted(self.right.items())
             ],
         }
-
-
-def action_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Mapping) -> BimoduleAction:
-    """The action tables of a problem file's `action` object.  Malformed
-    input raises SpecError naming its place, as in `action.left[3].value[0]`."""
-    from .pathcoalg import element_from_json
-
-    def value_of(raw, where) -> Element:
-        # accept either full element JSON or a bare list of arrow terms; the
-        # place `where()` of the value is formatted only for an error message
-        if not isinstance(raw, list):
-            raise SpecError(f"{where()} is not a list of terms")
-        terms = []
-        for j, t in enumerate(raw):
-            if not isinstance(t, dict) or "coeff" not in t:
-                raise SpecError(f"{where()}[{j}] is not a term object with a coeff")
-            if "arrows" in t or "source" in t:
-                if "source" not in t or not isinstance(t.get("arrows", []), list):
-                    raise SpecError(f"{where()}[{j}] needs a source and a list of arrows")
-                terms.append(t)
-            else:
-                idx = t.get("arrow")
-                if not quiver.has_arrow(idx):
-                    raise SpecError(f"{where()}[{j}]: no arrow {idx!r}")
-                source = quiver.arrow(idx).source
-                terms.append({"source": source, "arrows": [idx], "coeff": t["coeff"]})
-        try:
-            return element_from_json(ctx, quiver, terms)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"{where()}: {exc}") from exc
-
-    left, right = {}, {}
-    for side, table in (("left", left), ("right", right)):
-        items = data.get(side, [])
-        if not isinstance(items, list):
-            raise SpecError(f"action.{side} is not a list")
-        for i, item in enumerate(items):
-            try:
-                g, a, raw = item["g"], item["arrow"], item["value"]
-            except (TypeError, KeyError):
-                raise SpecError(f"action.{side}[{i}] needs g, arrow and value") from None
-            # `type(x) is int` rejects bool, which JSON true/false parse to
-            if type(g) is not int or not 0 <= g < quiver.group.order:
-                raise SpecError(f"action.{side}[{i}]: g={g!r} is not a group element")
-            if not quiver.has_arrow(a):
-                raise SpecError(f"action.{side}[{i}]: arrow={a!r} is not an arrow of the quiver")
-            key = (g, a) if side == "left" else (a, g)
-            table[key] = value_of(raw, lambda: f"action.{side}[{i}].value")
-    return BimoduleAction(ctx, quiver, left, right)
 
 
 def verify_bimodule(group: FiniteGroup, phi: Cocycle3, action: BimoduleAction) -> VerificationReport:

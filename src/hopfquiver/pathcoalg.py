@@ -133,15 +133,6 @@ def _plain_path_name(p: Path) -> str:
     return "".join(f"a{i}" for i in reversed(p.arrows))
 
 
-def element_from_json(ctx: FieldContext, quiver: HopfQuiver, data: Iterable[dict]) -> Element:
-    terms: dict[Path, Scalar] = {}
-    for item in data:
-        p = quiver.path(item["source"], item.get("arrows", []))
-        c = ctx.intern(ctx.scalar(item["coeff"]))
-        terms[p] = terms[p] + c if p in terms else c
-    return Element(ctx, terms)
-
-
 # ---------------------------------------------------------------------------
 # the coalgebra structure maps
 

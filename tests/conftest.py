@@ -30,9 +30,7 @@ SPECS_DIR = Path(__file__).resolve().parents[1] / "specs"
 
 def structure_at(spec_path, cap: int) -> MajidStructure:
     """The structure of a problem file with its degree cap replaced."""
-    raw = dict(load_problem(spec_path).raw)
-    raw["degree_cap"] = cap
-    return load_problem(raw).structure()
+    return load_problem(spec_path).with_degree_cap(cap).structure()
 
 
 def make_taft_structure(n: int, cap: int = 4, class_rep: int = 1, q_power: int = 1):

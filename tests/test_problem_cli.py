@@ -5,10 +5,12 @@ import subprocess
 import sys
 import pytest
 
+from hopfquiver import field_context
 from hopfquiver.cli import main, parse_element
 from hopfquiver.errors import SpecError
 import hopfquiver.problem
-from hopfquiver.problem import MAX_FIELD_ORDER, load_problem
+import hopfquiver.quiver
+from hopfquiver.problem import MAX_BASIS, MAX_FIELD_ORDER, _element, load_problem
 
 from conftest import SPECS_DIR, make_taft_structure
 
@@ -202,7 +204,7 @@ def test_cli_zero_cocycle_entry_exits_2(tmp_path, capsys):
     assert "cocycle.values[1][1][1] is zero" in capsys.readouterr().err
 
 
-_NOT_DEGREE1 = "action.left: g=1 arrow=0: value is not homogeneous of degree 1"
+_NOT_ONE_ARROW = "action.left[2].value[0] is not one arrow"
 
 
 def _exit_code_of(tmp_path, data):
@@ -236,8 +238,8 @@ def test_cli_out_of_range_action_key_exits_2(tmp_path, capsys, entry, named):
         ({"source": 9, "arrows": [], "coeff": "1"}, "no vertex 9"),
         ({"arrow": 99, "coeff": "1"}, "no arrow 99"),
         ({"arrow": "0", "coeff": "1"}, "no arrow '0'"),
-        ({"source": 1, "arrows": [1, 0], "coeff": "1"}, _NOT_DEGREE1),
-        ({"source": 0, "arrows": [], "coeff": "1"}, _NOT_DEGREE1),
+        ({"source": 1, "arrows": [1, 0], "coeff": "1"}, _NOT_ONE_ARROW),
+        ({"source": 0, "arrows": [], "coeff": "1"}, _NOT_ONE_ARROW),
     ],
     ids=[
         "negative_arrow", "arrow_outside_quiver", "vertex_outside_group",
@@ -288,7 +290,7 @@ def _set_table(data, values):
          lambda data: data["action"]["left"][1].update(value=[5])),
         ("action.left[1].value[0] needs a source and a list of arrows",
          lambda data: data["action"]["left"][1]["value"][0].update(arrows=5)),
-        ("action.left[1].value: cannot interpret {} as a scalar",
+        ("action.left[1].value[0]: cannot interpret {} as a scalar",
          lambda data: data["action"]["left"][1]["value"][0].update(coeff={})),
     ],
     ids=[
@@ -318,6 +320,120 @@ def test_cli_field_order_above_bound_exits_2(tmp_path, capsys, monkeypatch):
     data["field_order"] = MAX_FIELD_ORDER + 1
     assert _exit_code_of(tmp_path, data) == 2
     assert f"field_order {MAX_FIELD_ORDER + 1} is above" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: d.update(ramificaton=d.pop("ramification"), actions=d.pop("action")),
+         "problem file: unknown key 'ramificaton'"),
+        (lambda d: d["group"].update(table=[]), "group: unknown key 'table'"),
+        (lambda d: d.update(cocycle={"kind": "trivial", "n": 2}), "cocycle: unknown key 'n'"),
+        (lambda d: d.update(cocycle={"kind": "table", "value": []}), "cocycle: unknown key 'value'"),
+        (lambda d: d["ramification"][0].update(mul=1), "ramification[0]: unknown key 'mul'"),
+        (lambda d: d["action"].update(middle=[]), "action: unknown key 'middle'"),
+        (lambda d: d["action"]["right"][3].update(valu=d["action"]["right"][3].pop("value")),
+         "action.right[3]: unknown key 'valu'"),
+        (lambda d: d["action"]["left"][1].update(h=0), "action.left[1]: unknown key 'h'"),
+        (lambda d: d["action"]["left"][2]["value"][0].update(target=0),
+         "action.left[2].value[0]: unknown key 'target'"),
+        (lambda d: d["action"]["left"][2].update(value=[{"arrow": 1, "coeff": "1", "source": 1}]),
+         "action.left[2].value[0]: unknown key 'source'"),
+    ],
+    ids=["top_level", "group", "cocycle_trivial", "cocycle_table", "ramification_entry",
+         "action", "action_entry_renamed", "action_entry_extra", "long_term", "short_term"],
+)
+def test_cli_unknown_key_exits_2(tmp_path, capsys, edit, named):
+    """A misspelled key is refused, not read as an absent field."""
+    data = base_spec()
+    edit(data)
+    assert _exit_code_of(tmp_path, data) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("conflicting", [False, True])
+def test_cli_duplicate_action_entry_exits_2(tmp_path, capsys, side, conflicting):
+    data = base_spec()
+    entries = data["action"][side]
+    copy = json.loads(json.dumps(entries[1]))
+    if conflicting:
+        copy["value"][0]["coeff"] = "2"
+    entries.append(copy)
+    assert _exit_code_of(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert f"action.{side}[{len(entries) - 1}] repeats" in err
+    assert f"of action.{side}[1]" in err
+
+
+def test_cli_unknown_task_option_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--spec", str(SPECS_DIR / "z2_taft.json"), "--task", "verfy",
+                "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "'verfy'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_terms_on_one_arrow_sum_to_a_keyed_scalar():
+    ctx = field_context(4)
+    quiver = load_problem(base_spec()).quiver
+    term = {"source": 0, "arrows": [0], "coeff": "1"}
+    x = _element(ctx, quiver, [term, dict(term, coeff="2")], lambda: "value")
+    (c,) = x.terms.values()
+    assert c == ctx.scalar(3)
+    assert c.key is not None
+
+
+class _Built(Exception):
+    pass
+
+
+def _refuse_to_build(monkeypatch, quiver=True):
+    """Make building the basis, and with `quiver` the quiver, raise _Built."""
+    def built(*args):
+        raise _Built
+
+    monkeypatch.setattr(hopfquiver.quiver, "paths_up_to", built)
+    if quiver:
+        monkeypatch.setattr(hopfquiver.problem, "hopf_quiver", built)
+
+
+def test_basis_bound_is_checked_before_the_quiver_is_built(monkeypatch):
+    """One vertex with one loop holds (L+1)(L+2)/2 paths and arrow indices
+    up to cap L: 4094 is the last cap within the bound."""
+    assert (4094 + 1) * (4094 + 2) // 2 <= MAX_BASIS < (4095 + 1) * (4095 + 2) // 2
+    _refuse_to_build(monkeypatch)
+    data = json.loads((SPECS_DIR / "one_vertex_1_loop.json").read_text())
+    data["degree_cap"] = 4095
+    with pytest.raises(SpecError, match="degree_cap 4095 with ramification of 1 arrows"):
+        load_problem(data)
+    data["degree_cap"] = 4094
+    with pytest.raises(_Built):
+        load_problem(data)
+
+
+@pytest.mark.parametrize(
+    "spec, edit, argv, named",
+    [
+        ("one_vertex_1_loop", lambda d: d.update(degree_cap=100000), [], "degree_cap 100000"),
+        ("one_vertex_1_loop", lambda d: None, ["--degree-cap", "100000"], "degree_cap 100000"),
+        ("z2_taft", lambda d: d["ramification"][0].update(mult=1000000), [],
+         "ramification of 1000000 arrows per vertex"),
+        ("z2_taft", lambda d: d.update(degree_cap=0, ramification=[{"class_rep": 1, "mult": 2**22}]),
+         [], "ramification of 4194304 arrows per vertex"),
+    ],
+    ids=["cap_in_file", "cap_option", "mult", "mult_at_cap_0"],
+)
+def test_cli_oversize_basis_exits_2(tmp_path, capsys, monkeypatch, spec, edit, argv, named):
+    """With `--degree-cap`, the file's own quiver is built but no basis."""
+    _refuse_to_build(monkeypatch, quiver=not argv)
+    data = json.loads((SPECS_DIR / f"{spec}.json").read_text())
+    edit(data)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("run", "--spec", str(path), *argv, "--out", str(tmp_path)) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_cli_degree_cap_override(tmp_path, capsys):
