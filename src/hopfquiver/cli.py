@@ -13,6 +13,7 @@ matters), and parentheses group subexpressions, e.g. "a0*(a1*g1)".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -258,7 +259,10 @@ def _cmd_export_quiver(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged, so every `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="hopfquiver",
         description=__doc__,

@@ -25,15 +25,19 @@ distinct values, so a `FieldContext` interns scalars as paths are interned:
 `intern`, `times` and `plus` return the one object with a small int `key`
 the context holds for a value, and `times`/`plus` look it up in a memo keyed
 by the operands' keys, so `is_zero`, `is_one` and `==` on keyed scalars of
-one context are identity tests.  The table holds at most PRODUCT_MEMO_SIZE
-values and is never cleared: past that, new values stay unkeyed and are
-computed directly.  The memos are cleared at that size.  `*` and `+` stay
-direct: the 3-cocycle check on a table with nearly one value per entry,
-inverses and powers rarely repeat an operand pair and would fill the table.
+one context are identity tests.  Keys are unique in the process, so a memo
+of one context never matches a scalar of another, and a reader of the memos
+(`pathcoalg._add_scaled`) may look any two scalars up by key.  The table
+holds at most PRODUCT_MEMO_SIZE values and is never cleared: past that, new
+values stay unkeyed and are computed directly.  The memos are cleared at
+that size.  `*` and `+` stay direct: the 3-cocycle check on a table with
+nearly one value per entry, inverses and powers rarely repeat an operand
+pair and would fill the table.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -46,6 +50,19 @@ RationalLike = Union[int, str, Fraction]
 
 # the most values a context interns, and products (sums) it memoizes before it starts over
 PRODUCT_MEMO_SIZE = 4096
+
+# the most digits a coefficient string may hold, and the largest exponent it may
+# carry: `Fraction("1e20000000")` would expand 10^20000000 in full
+MAX_COEFF_DIGITS = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*$")
+
+# a string of at most this many characters has at most 5 digits and an
+# exponent of at most 999 ("1e999"), inside the bound
+_SHORT = 5
+
+# the keys of interned scalars, shared by every context
+_KEYS = count()
 
 
 def _exact_poly_div(num: list[int], den: Sequence[int]) -> list[int]:
@@ -79,12 +96,15 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 def _parse_rational(v: RationalLike) -> tuple[int, int]:
-    """(p, q) with q > 0 and gcd(p, q) == 1."""
+    """(p, q) with q > 0 and gcd(p, q) == 1; a string is refused past
+    MAX_COEFF_DIGITS digits or exponent."""
     if isinstance(v, bool):
         raise ValueError(f"{v!r} is not a rational number")
     if isinstance(v, int):
         return v, 1
     if isinstance(v, str):
+        if len(v) > _SHORT:
+            _check_size(v)
         try:
             v = Fraction(v)
         except ZeroDivisionError:
@@ -94,10 +114,20 @@ def _parse_rational(v: RationalLike) -> tuple[int, int]:
     raise TypeError(f"cannot interpret {v!r} as a rational number")
 
 
+def _check_size(v: str) -> None:
+    """Refuse a coefficient string past MAX_COEFF_DIGITS digits or exponent."""
+    digits = sum(map(str.isdigit, v))
+    if digits > MAX_COEFF_DIGITS:
+        raise ValueError(f"a coefficient of {digits} digits is past the bound of {MAX_COEFF_DIGITS}")
+    exponent = _EXPONENT.search(v)
+    if exponent and abs(int(exponent.group(1))) > MAX_COEFF_DIGITS:
+        raise ValueError(f"the exponent of {v!r} is past the bound of {MAX_COEFF_DIGITS}")
+
+
 class FieldContext:
     """Shared context for scalars of one cyclotomic order m."""
 
-    __slots__ = ("order", "degree", "modulus", "_tail", "_conjugators", "_interned", "_keys",
+    __slots__ = ("order", "degree", "modulus", "_tail", "_conjugators", "_interned",
                  "_one", "_zero", "_products", "_sums")
 
     def __init__(self, m: int):
@@ -115,7 +145,6 @@ class FieldContext:
             if gcd(k, m) == 1
         )
         self._interned: dict[tuple, Scalar] = {}  # (num, den) -> the keyed scalar
-        self._keys = count()
         self._one = self.intern(Scalar(self, (1,) + (0,) * (self.degree - 1), 1))
         self._zero = self.intern(Scalar(self, (0,) * self.degree, 1))
         self._products: dict[tuple[int, int], Scalar] = {}  # (a.key, b.key) -> a * b
@@ -176,7 +205,7 @@ class FieldContext:
             raise ValueError("cannot mix scalars of different cyclotomic orders")
         out = self._interned.get((s.num, s.den))
         if out is None and len(self._interned) < PRODUCT_MEMO_SIZE:
-            out = Scalar(self, s.num, s.den, next(self._keys))
+            out = Scalar(self, s.num, s.den, next(_KEYS))
             out = self._interned.setdefault((s.num, s.den), out)
         return s if out is None else out
 

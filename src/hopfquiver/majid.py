@@ -28,8 +28,12 @@ only on (i, j), so by distributivity
     G(i, j) = G(i-1, j) glued with p_i . v_j
             + G(i, j-1) glued with u_i . q_j,
 
-G(1, 0) and G(0, 1) being those first legs, and p q = G(a, b): (a+1)(b+1)
-states in place of C(a+b, a) shuffles.
+G(1, 0) and G(0, 1) being those first legs (the state (0, 0) is the empty
+partial path, which takes a leg without a source check), and p q = G(a, b).
+G(i, j) is the product of the prefixes p_i ... p_1 and q_j ... q_1, so a
+product is two glues onto the memoized products (p_(a-1) ... p_1) q and
+p (q_(b-1) ... q_1); a miss fills the missing prefix products first, with a
+stack rather than recursion, since a cap may reach thousands of arrows.
 
 The arity-n arrow tensors are identified with paths through the cotensor
 identification: the first tensor leg is the *last* traversed arrow,
@@ -175,11 +179,11 @@ def verify_bimodule(group: FiniteGroup, phi: Cocycle3, action: BimoduleAction) -
         m = quiver.arrow_path(a.index)
         for e in group.elements():
             for f in group.elements():
-                if not _associates(S, vertex(e), vertex(f), m):
+                if _associates(S, vertex(e), vertex(f), [m]):
                     report.add("bimodule_left_assoc", (e, f, a.index))
-                if not _associates(S, m, vertex(e), vertex(f)):
+                if _associates(S, m, vertex(e), [vertex(f)]):
                     report.add("bimodule_right_assoc", (a.index, e, f))
-                if not _associates(S, vertex(e), m, vertex(f)):
+                if _associates(S, vertex(e), m, [vertex(f)]):
                     report.add("bimodule_middle_assoc", (e, a.index, f))
     n2a = group.order * group.order * len(arrows)
     report.tally("bimodule_left_assoc", n2a)
@@ -252,6 +256,12 @@ class MajidStructure:
     # -- the functionals ------------------------------------------------------
 
     @cached_property
+    def _phi(self) -> list[list[list[Scalar]]]:
+        """The Phi table with interned values, on first use."""
+        intern = self.ctx.intern
+        return [[[intern(v) for v in row] for row in plane] for plane in self.phi.values]
+
+    @cached_property
     def _beta(self) -> dict[int, Scalar]:
         """Phi(v, v^-1, v)^-1 per vertex v, on first use (`verify_bimodule` needs none)."""
         g = self.group
@@ -293,40 +303,51 @@ class MajidStructure:
     # -- multiplication -------------------------------------------------------
 
     def multiply_paths(self, p: Path, q: Path) -> Element:
-        key = (p, q)
-        cached = self._mul_cache.get(key)
-        if cached is not None:
-            return cached
+        cache = self._mul_cache
+        out = cache.get((p, q))
+        if out is not None:
+            return out
         n = len(p.arrows) + len(q.arrows)
         if n > self.degree_cap:
             raise DegreeCapExceeded(n, self.degree_cap)
         if n == 0:
-            out = self.vertex(self.group.mul(p.source, q.source))
-        else:
-            jp, jq = self.quiver.junctions(p), self.quiver.junctions(q)
-            right_of, left_of = self.action.right_of, self.action.left_of
-            a, b = len(p.arrows), len(q.arrows)
-            # G[i][j] as in the module docstring; G(0, 0) is the empty partial path
-            G = [[None] * (b + 1) for _ in range(a + 1)]
-            for i in range(a + 1):
-                for j in range(b + 1):
-                    if i == j == 0:
-                        continue
-                    g = _glue(G[i - 1][j], right_of(p.arrows[i - 1], jq[j])) if i else {}
-                    if j:
-                        for path, c in _glue(G[i][j - 1], left_of(jp[i], q.arrows[j - 1])).items():
-                            _accumulate(g, path, c)
-                    G[i][j] = g
-            out = Element(self.ctx, G[a][b])
-        self._mul_cache[key] = out
-        return out
+            out = cache[p, q] = self.vertex(self.group.mul(p.source, q.source))
+            return out
+        arrows, right_of, left_of = self.quiver.arrows, self.action.right_of, self.action.left_of
+
+        def shorter(z: Path) -> Path:
+            return Path(z.source, z.arrows[:-1], arrows[z.arrows[-1]].source)
+
+        # G(a, b) of the module docstring is glued onto the products G(a-1, b)
+        # and G(a, b-1), None at the state (0, 0); a missing one is filled first
+        stack = [(p, q)]
+        while stack:
+            x, y = key = stack[-1]
+            if key in cache:
+                stack.pop()
+                continue
+            a, b = len(x.arrows), len(y.arrows)
+            by_x = (shorter(x), y) if a > 1 or (a and b) else None
+            by_y = (x, shorter(y)) if b > 1 or (a and b) else None
+            missing = [k for k in (by_x, by_y) if k is not None and k not in cache]
+            if missing:
+                stack += missing
+                continue
+            g = _glue(by_x and cache[by_x].terms, right_of(x.arrows[-1], y.target)) if a else {}
+            if b:
+                for path, c in _glue(by_y and cache[by_y].terms,
+                                     left_of(x.target, y.arrows[-1])).items():
+                    _accumulate(g, path, c)
+            cache[key] = Element(self.ctx, g)
+            stack.pop()
+        return cache[p, q]
 
     def multiply(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the graded multiplication."""
         acc: dict[Path, Scalar] = {}
         for p, a in x.terms.items():
             for q, b in y.terms.items():
-                _add_scaled(acc, self.multiply_paths(p, q), a.times(b))
+                _add_scaled(acc, self.multiply_paths(p, q).terms, a.times(b))
         return Element(self.ctx, acc)
 
     # -- quasi-antipode --------------------------------------------------------
@@ -362,7 +383,7 @@ class MajidStructure:
             raise DegreeCapExceeded(x.max_degree(), self.degree_cap)
         acc: dict[Path, Scalar] = {}
         for p, c in x.terms.items():
-            _add_scaled(acc, self.antipode_path(p), c)
+            _add_scaled(acc, self.antipode_path(p).terms, c)
         return Element(self.ctx, acc)
 
 
@@ -383,27 +404,35 @@ def _glue(partial: dict[Path, Scalar] | None, leg: Element) -> dict[Path, Scalar
 # the full axiom verifier
 
 
-def _associates(S: MajidStructure, p: Path, q: Path, r: Path, pq: dict | None = None) -> bool:
-    """(2.1) on the basis triple (p, q, r), with the trivially extended
-    reassociator: Phi(s(p),s(q),s(r)) p(qr) = Phi(t(p),t(q),t(r)) (pq)r.
+def _associates(S: MajidStructure, p: Path, q: Path, rs: list[Path]) -> list[Path]:
+    """The r in `rs`, in order, where (2.1) fails on the basis triple
+    (p, q, r), with the trivially extended reassociator:
+    Phi(s(p),s(q),s(r)) p(qr) = Phi(t(p),t(q),t(r)) (pq)r.
 
     Phi vanishes on a split triple unless its three reassociator legs are
     vertices, and each path has exactly one split with a vertex right part,
     (p, s(p)), for the lhs and one with a vertex left part, (t(p), p), for
-    the rhs: the sum over the splits is that one term on each side.  A
-    caller looping over r passes the terms `pq` of p q, looked up once."""
-    if pq is None:
-        pq = S.multiply_paths(p, q).terms
-    intern = S.ctx.intern
-    lhs: dict[Path, Scalar] = {}
-    coeff = intern(S.phi.values[p.source][q.source][r.source])
-    for t, c in S.multiply_paths(q, r).terms.items():
-        _add_scaled(lhs, S.multiply_paths(p, t), coeff.times(c))
-    rhs: dict[Path, Scalar] = {}
-    coeff = intern(S.phi.values[p.target][q.target][r.target])
-    for t, c in pq.items():
-        _add_scaled(rhs, S.multiply_paths(t, r), coeff.times(c))
-    return lhs == rhs
+    the rhs: the sum over the splits is that one term on each side.  The
+    one (2.1) formula: p q and the Phi values are read once for all of
+    `rs`, Phi from the structure's interned table."""
+    # a product is read from the memo (an Element is never falsy) and
+    # filled by `multiply_paths` on a miss
+    memo, mul = S._mul_cache, S.multiply_paths
+    phi_s, phi_t = S._phi[p.source][q.source], S._phi[p.target][q.target]
+    pq = mul(p, q).terms
+    failed = []
+    for r in rs:
+        lhs: dict[Path, Scalar] = {}
+        coeff = phi_s[r.source]
+        for t, c in (memo.get((q, r)) or mul(q, r)).terms.items():
+            _add_scaled(lhs, (memo.get((p, t)) or mul(p, t)).terms, coeff.times(c))
+        rhs: dict[Path, Scalar] = {}
+        coeff = phi_t[r.target]
+        for t, c in pq.items():
+            _add_scaled(rhs, (memo.get((t, r)) or mul(t, r)).terms, coeff.times(c))
+        if lhs != rhs:
+            failed.append(r)
+    return failed
 
 
 def pairs_up_to(paths: list[Path], cap: int):
@@ -440,7 +469,6 @@ def verify_majid_axioms(structure: MajidStructure,
     """
     S = structure
     ctx = S.ctx
-    quiver = S.quiver
     group = S.group
     report = VerificationReport()
     basis = S.basis_up_to()
@@ -448,7 +476,6 @@ def verify_majid_axioms(structure: MajidStructure,
     eps = {p: counit(x) for p, x in element.items()}
     vertices = S.basis_up_to(0)
     unit = S.unit()
-    one = ctx.one()
     e = group.identity
 
     # (2.1) quasi-associativity on the triples (p, q, r) of total degree
@@ -460,10 +487,8 @@ def verify_majid_axioms(structure: MajidStructure,
     for p, q in pairs_up_to(basis, cap):
         rs = prefix[cap - len(p.arrows) - len(q.arrows)]
         count += len(rs)
-        pq = S.multiply_paths(p, q).terms
-        for r in rs:
-            if not _associates(S, p, q, r, pq):
-                report.add("quasi_associativity", (p, q, r))
+        for r in _associates(S, p, q, rs):
+            report.add("quasi_associativity", (p, q, r))
     report.tally("quasi_associativity", count)
 
     # (2.2) unit law
@@ -474,12 +499,13 @@ def verify_majid_axioms(structure: MajidStructure,
     report.tally("unit_law", len(basis))
 
     # multiplication is a coalgebra morphism
+    memo, mul = S._mul_cache, S.multiply_paths
     count = 0
     for p, q in pairs_up_to(basis, cap):
         count += 1
-        prod = S.multiply_paths(p, q)
+        prod = mul(p, q)
         if not comultiplicative(S.splits, prod, (
-            (S.multiply_paths(p1, q1), S.multiply_paths(p2, q2))
+            (memo.get((p1, q1)) or mul(p1, q1), memo.get((p2, q2)) or mul(p2, q2))
             for p1, p2 in S.splits(p)
             for q1, q2 in S.splits(q)
         )):
@@ -513,9 +539,11 @@ def verify_majid_axioms(structure: MajidStructure,
         lhs_a: dict[Path, Scalar] = {}
         lhs_b: dict[Path, Scalar] = {}
         for t1, t3 in S.splits(p):
-            _add_scaled(lhs_a, S.multiply(S.antipode_path(t1), element[t3]), one)
-            bv = S.beta_of_path(quiver.vertex_path(t1.source))
-            _add_scaled(lhs_b, S.multiply(element[t1], S.antipode_path(t3)), bv)
+            for s, c in S.antipode_path(t1).terms.items():
+                _add_scaled(lhs_a, S.multiply_paths(s, t3).terms, c)
+            bv = S._beta[t1.source]
+            for s, c in S.antipode_path(t3).terms.items():
+                _add_scaled(lhs_b, S.multiply_paths(t1, s).terms, bv.times(c))
         if Element(ctx, lhs_a) != unit.scale(eps[p]):
             report.add("antipode_alpha_law", (p,))
         if Element(ctx, lhs_b) != unit.scale(S.beta(element[p])):

@@ -108,17 +108,48 @@ class Element:
         ]
 
 
-def _add_scaled(acc: dict[Path, Scalar], x: Element, c: Scalar) -> None:
-    """Add c * x, for a nonzero c, into the coefficient dict `acc` in place;
-    a unit c adds x's coefficients as they are.  A coefficient that cancels
-    is deleted, so `acc` holds no zero coefficient when it held none."""
-    unit = c.is_one()
-    for p, xc in x.terms.items():
-        _accumulate(acc, p, xc if unit else c.times(xc))
+def _add_scaled(acc: dict[Path, Scalar], terms: Mapping[Path, Scalar], c: Scalar) -> None:
+    """Add c * terms, for a nonzero c, into the coefficient dict `acc` in
+    place: the one accumulation kernel of the product sums.  A coefficient
+    that cancels is deleted, so `acc` holds no zero coefficient when it held
+    none.
+
+    Each product and sum is read from c's context memos by the operands'
+    keys, a unit factor giving the other one, and a unit c adds into an
+    empty `acc` by `dict.update`; a miss, or an unkeyed operand once the
+    intern table is full, goes to `Scalar.times` and `Scalar.plus`."""
+    ctx = c.ctx
+    one, zero, products, sums = ctx._one, ctx._zero, ctx._products, ctx._sums
+    unit = c is one or c.is_one()
+    if unit and not acc:
+        acc.update(terms)
+        return
+    ck = c.key
+    for p, v in terms.items():
+        if not unit:
+            if v is one:
+                v = c
+            else:
+                w = products.get((ck, v.key))
+                v = c.times(v) if w is None else w
+        old = acc.get(p)
+        if old is None:
+            acc[p] = v
+            continue
+        s = sums.get((old.key, v.key))
+        if s is None:
+            s = old.plus(v)
+            if s.is_zero():
+                s = zero
+        if s is zero:
+            del acc[p]
+        else:
+            acc[p] = s
 
 
 def _accumulate(acc: dict, key, c: Scalar) -> None:
-    """acc[key] += c for a nonzero c, deleting the entry when it cancels."""
+    """acc[key] += c for a nonzero c, deleting the entry when it cancels; the
+    one-term step of the coalgebra-map check and the glue."""
     if key in acc:
         c = acc[key].plus(c)
         if c.is_zero():

@@ -19,7 +19,9 @@ Schema (version 1); an object with a key not shown here is refused:
 
 `ramification`, `action`, either side and `zeta_power` (default 1) may be
 left out.  Integers are never JSON true or false.  Scalars are "p/q"
-strings, integers, or power-basis coordinate arrays of those.  A term is one
+strings, integers, or power-basis coordinate arrays of those; a string
+holds at most `cyclotomic.MAX_COEFF_DIGITS` digits and an exponent of at
+most that size.  A term is one
 arrow and its coefficient, {"arrow": a, "coeff": c} or {"source": s(a),
 "arrows": [a], "coeff": c}; terms on one arrow are summed.  An absent action
 entry is zero, and a second one for the same (g, arrow) is refused.  The

@@ -25,7 +25,7 @@ from .cyclotomic import Scalar
 from .errors import DegreeCapExceeded, IsoCheckFailed, NotSingleVertex
 from .groups import subgroup_generated
 from .majid import MajidStructure, _associates, pairs_up_to
-from .pathcoalg import Element, comultiplicative
+from .pathcoalg import Element, _add_scaled, comultiplicative
 from .quiver import Path, connected_components
 from .report import VerificationReport
 
@@ -322,10 +322,16 @@ def _transport_rhs(structure: MajidStructure, p: Path, u_q: Element, uv: int,
                    factor: Scalar) -> Element:
     """Image in H of (p (x) u)(q (x) v) under p (x) u -> p u, given u_q = u |> q
     and factor = Theta(p, q, u, v); the second slot sigma(u, v) uv-bar is the
-    single group element uv."""
+    single group element uv, so the image is factor (p u_q) uv, summed term
+    by term over the product memo."""
     S = structure
-    core = S.multiply(Element.of_path(S.ctx, p), u_q)
-    return S.multiply(core, S.vertex(uv)).scale(factor)
+    w = S.quiver.vertex_path(uv)
+    acc: dict[Path, Scalar] = {}
+    for t, c in u_q.terms.items():
+        c = factor.times(c)
+        for s, c2 in S.multiply_paths(p, t).terms.items():
+            _add_scaled(acc, S.multiply_paths(s, w).terms, c.times(c2))
+    return Element(S.ctx, acc)
 
 
 def crossed_product(structure: MajidStructure) -> CrossedProduct:
@@ -438,7 +444,7 @@ def primitives(structure: MajidStructure) -> LieData:
         for j in loops:
             for k in loops:
                 count += 1
-                if not _associates(S, ap(i), ap(j), ap(k)):
+                if _associates(S, ap(i), ap(j), [ap(k)]):
                     report.add("primitive_associativity", (i, j, k))
     report.tally("primitive_associativity", count)
 

@@ -4,7 +4,8 @@ They are the literal definitions, which `src` computes by shorter routes:
 Delta of one path as a tensor, the k-fold splits Delta^(k-1), the
 componentwise comultiplication of a tensor of paths, its iteration on the
 rightmost block, and the graded product M_n = M_1^(x n) o Delta_2^(n-1)
-read off that iteration; quasi-associativity (2.1) summed over every split
+read off that iteration, and by Rosso's recursion over the full table of
+partial products; quasi-associativity (2.1) summed over every split
 triple; the Majid-bimodule unit and quasi-associativity laws in their ratio
 form on the action tables, which `src` evaluates as (2.2) and (2.1) in
 degree 1; the normalization (2.4) on every basis pair and the antipode
@@ -146,6 +147,43 @@ def product_by_expansion(S, p, q):
         for path, coeff in glue_legs(S.ctx, legs).items():
             acc[path] = acc[path] + c * coeff if path in acc else c * coeff
     return Element(S.ctx, acc)
+
+
+def _glue_leg(partial, leg):
+    """Glue the degree-1 `leg` after each partial path it starts where that
+    path ends; `None` is the empty partial path, which takes every term."""
+    if partial is None:
+        return dict(leg.terms)
+    out = {}
+    for path, c in partial.items():
+        for ap, c2 in leg.terms.items():
+            if ap.source == path.target:
+                glued = Path(path.source, path.arrows + ap.arrows, ap.target)
+                out[glued] = out[glued] + c * c2 if glued in out else c * c2
+    return out
+
+
+def product_by_state_table(S, p, q):
+    """The graded product of two basis paths by Rosso's recursion over the
+    full (a+1)(b+1) table of states G(i, j), with G(0, 0) the empty partial
+    path: the route `src` took before it read G(i-1, b) and G(a, j-1) from
+    its product memo.  Scalars are multiplied and added directly."""
+    n = len(p.arrows) + len(q.arrows)
+    if n == 0:
+        return S.vertex(S.group.mul(p.source, q.source))
+    jp, jq = S.quiver.junctions(p), S.quiver.junctions(q)
+    a, b = len(p.arrows), len(q.arrows)
+    G = [[None] * (b + 1) for _ in range(a + 1)]
+    for i in range(a + 1):
+        for j in range(b + 1):
+            if i == j == 0:
+                continue
+            g = _glue_leg(G[i - 1][j], S.action.right_of(p.arrows[i - 1], jq[j])) if i else {}
+            if j:
+                for path, c in _glue_leg(G[i][j - 1], S.action.left_of(jp[i], q.arrows[j - 1])).items():
+                    g[path] = g[path] + c if path in g else c
+            G[i][j] = g
+    return Element(S.ctx, G[a][b])
 
 
 def quasi_associativity_by_all_splits(S, cap):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfquiver import FieldContext, cyclotomic_polynomial, field_context
-from hopfquiver.cyclotomic import PRODUCT_MEMO_SIZE
+from hopfquiver.cyclotomic import MAX_COEFF_DIGITS, PRODUCT_MEMO_SIZE
 from hopfquiver.errors import FieldDivisionError
 
 from oracles import FractionScalar
@@ -113,6 +113,22 @@ def test_json_roundtrip():
         assert ctx.scalar(v.to_json()) == v
     assert ctx.scalar("3/7").to_json() == "3/7"
     assert ctx.zeta.to_json() == ["0", "1"]
+
+
+def test_coefficient_strings_are_bounded():
+    """A coefficient string may hold MAX_COEFF_DIGITS digits and an exponent
+    of that size; one digit or one power of ten more is refused before
+    `Fraction` expands it."""
+    ctx = field_context(4)
+    n = MAX_COEFF_DIGITS
+    assert ctx.scalar(f"1e{n}") == ctx.scalar(10 ** n)
+    assert ctx.scalar(f"1E-{n}") == ctx.scalar(Fraction(1, 10 ** n))
+    assert ctx.scalar("7" * n).num[0] == int("7" * n)
+    assert ctx.scalar(["1", f"2e+{n}"]).num == (1, 2 * 10 ** n)
+    for raw in (f"1e{n + 1}", f"1e-{n + 1}", "1e20000000", "1E-2000000", "1e1_0000",
+                "7" * (n + 1), "1" * n + "/3", [1, "1e2000000"]):
+        with pytest.raises(ValueError, match=f"past the bound of {n}"):
+            ctx.scalar(raw)
 
 
 small_rationals = st.fractions(

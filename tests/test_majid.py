@@ -28,7 +28,7 @@ from hopfquiver.cyclotomic import PRODUCT_MEMO_SIZE
 from hopfquiver.errors import ActionNotDegree1, DegreeCapExceeded
 from hopfquiver.majid import BimoduleAction, MajidStructure
 from hopfquiver.pathcoalg import counit
-from hopfquiver.structure import verify_translations
+from hopfquiver.structure import crossed_product, verify_translations
 
 from conftest import (
     SPECS_DIR,
@@ -385,39 +385,44 @@ def test_coalgebra_map_checks_fire_on_mutants(side, key, arrow, check):
     assert check in {v.check for v in fired}
 
 
-def _verdicts_on(ctx, monkeypatch):
-    """The `verify_majid_axioms` JSON of z2_two_slot_nontrivial_cocycle at
-    cap 4 and of its mutant with the first action entry doubled, with the
-    problem's scalars in `ctx`."""
+def _reports_on(ctx, monkeypatch, name):
+    """At cap 4, with the problem's scalars in `ctx`: the
+    `verify_majid_axioms` JSON of the spec `name` and of its mutant with the
+    first action entry doubled, which fails (2.1), and the JSON of the
+    spec's crossed product."""
     monkeypatch.setattr(hopfquiver.problem, "field_context", lambda m: ctx)
-    raw = json.loads((SPECS_DIR / "z2_two_slot_nontrivial_cocycle.json").read_text())
+    raw = json.loads((SPECS_DIR / f"{name}.json").read_text())
     raw["degree_cap"] = 4
     S = hopfquiver.problem.problem_from_dict(raw).structure()
     assert S.ctx is ctx
     side, key, value = S.action.entries()[0]
     mutant = S.action.with_entry(side, key, value.scale(ctx.scalar(2)))
     T = MajidStructure(S.quiver, S.phi, mutant, 4)
-    return [verify_majid_axioms(X).to_json() for X in (S, T)], S
+    reports = [verify_majid_axioms(X).to_json() for X in (S, T)]
+    return reports + [crossed_product(S).to_json()], S
 
 
 def test_kernels_fall_back_when_the_intern_table_is_full(monkeypatch):
     """On a context whose intern table is already full, the spec's scalars
     stay unkeyed and every product and sum goes the direct path; the
-    verdicts, of the valid structure and of a failing mutant, equal those
-    on a context with room."""
-    full = FieldContext(4)
-    k = 0
-    while len(full._interned) < PRODUCT_MEMO_SIZE:
-        full.intern(full.scalar(f"{k}/7919"))
-        k += 1
-    got, S = _verdicts_on(full, monkeypatch)
-    want, _ = _verdicts_on(FieldContext(4), monkeypatch)
-    assert got == want
-    assert got[0]["ok"] and not got[1]["ok"]
-    assert len(full._interned) == PRODUCT_MEMO_SIZE
-    assert any(
-        c.key is None for x in S._mul_cache.values() for c in x.terms.values()
-    )
+    reports of the valid structure, of a mutant that fails (2.1) and of the
+    crossed product equal those on a context with room, byte for byte.  The
+    second spec has two coset representatives and a nontrivial Theta."""
+    for name, m in (("z2_two_slot_nontrivial_cocycle", 4), ("z4_two_blocks_standard_cocycle", 8)):
+        full = FieldContext(m)
+        k = 0
+        while len(full._interned) < PRODUCT_MEMO_SIZE:
+            full.intern(full.scalar(f"{k}/7919"))
+            k += 1
+        got, S = _reports_on(full, monkeypatch, name)
+        want, _ = _reports_on(FieldContext(m), monkeypatch, name)
+        assert json.dumps(got) == json.dumps(want), name
+        assert got[0]["ok"] and not got[1]["ok"] and got[2]["iso_check"]["ok"]
+        assert "quasi_associativity" in {v["check"] for v in got[1]["violations"]}
+        assert len(full._interned) == PRODUCT_MEMO_SIZE
+        assert any(
+            c.key is None for x in S._mul_cache.values() for c in x.terms.values()
+        )
 
 
 def test_corrupted_action_detected_by_axioms():

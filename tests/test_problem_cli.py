@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from hopfquiver import field_context
-from hopfquiver.cli import main, parse_element
+from hopfquiver.cli import build_parser, main, parse_element
 from hopfquiver.errors import SpecError
 import hopfquiver.problem
 import hopfquiver.quiver
@@ -364,6 +364,51 @@ def test_cli_duplicate_action_entry_exits_2(tmp_path, capsys, side, conflicting)
     err = capsys.readouterr().err
     assert f"action.{side}[{len(entries) - 1}] repeats" in err
     assert f"of action.{side}[1]" in err
+
+
+@pytest.mark.parametrize("where, field", [
+    ("action", "action.left[0].value[0]: "),
+    ("cocycle", "cocycle.values[1][1][1] is not a scalar: "),
+])
+@pytest.mark.parametrize("value", ["1e2000000", "1E-20000000", [1, "1e2000000"], "1" * 1001],
+                         ids=["exponent", "negative_exponent", "coordinate", "digits"])
+def test_cli_oversize_coefficient_exits_2(tmp_path, capsys, where, field, value):
+    """A coefficient string past MAX_COEFF_DIGITS digits or exponent is
+    refused at its place before `Fraction` expands it (10^20000000 took
+    over a minute)."""
+    assert _exit_code_with_coeff(tmp_path, where, value) == 2
+    err = capsys.readouterr().err
+    assert field in err and "past the bound of 1000" in err
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    """`main` reuses one parser: a pass, a refused `--task verfy` and a pass
+    in one process give the exit codes, reports and messages of calls that
+    each build a fresh parser."""
+    spec = str(SPECS_DIR / "z2_taft.json")
+    tasks = ("verify", "verfy", "verify")
+
+    def call(task):
+        try:
+            code = run_cli("run", "--spec", spec, "--task", task, "--out", str(tmp_path))
+        except SystemExit as exc:
+            code = exc.code
+        report = tmp_path / "report.json"
+        text = report.read_text() if report.exists() else None
+        report.unlink(missing_ok=True)
+        return code, text, tuple(capsys.readouterr())
+
+    build_parser.cache_clear()
+    reused = [call(task) for task in tasks]
+    assert build_parser.cache_info()[:2] == (2, 1)  # hits, misses
+    fresh = []
+    for task in tasks:
+        build_parser.cache_clear()
+        fresh.append(call(task))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0]
+    assert reused[0][1] is not None and reused[1][1] is None
+    assert "'verfy'" in reused[1][2][1]
 
 
 def test_cli_unknown_task_option_exits_2(tmp_path, capsys):
