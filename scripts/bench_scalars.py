@@ -6,10 +6,12 @@ For each m in ORDERS the operands are fixed by SEED: `roots` are pairs
 of powers zeta^k with 1 <= k < m (the values of the standard cyclic
 cocycles; k = 0 would give 1, which the unit rows time) and
 `rationals` pairs of random coordinate vectors with numerators in [-9, 9]
-and denominators in [1, 6].  Each figure is the median, over REPEATS
+and denominators in [1, 6].  Each figure is the minimum, over REPEATS
 timed runs of LOOPS loops, of the mean time of one `a * b` (or one
-`a.inverse()`, timed over a tenth of the loops) in microseconds; the
-`add_*` rows time `a + b` the same way.  The `times_*` rows time the
+`a.inverse()`, timed over a tenth of the loops) in microseconds: a shared
+host switches speed for minutes at a time, and the minimum of many short
+runs reads the fast phase where one median of a few reads whichever phase
+it fell in.  The `add_*` rows time `a + b` the same way.  The `times_*` rows time the
 memoized product `a.times(b)` on the same pairs, and the `plus_*` rows the
 memoized sum `a.plus(b)`: `*_hit_us` in the same repeated loop, on the
 operands interned once (`FieldContext.intern`, as the kernels hold their
@@ -17,11 +19,14 @@ structure constants), where all but the first call of a pair hit the memo,
 and `*_miss_us` in LOOPS passes over the distinct pairs, each pass on
 unkeyed copies in a fresh `FieldContext(m)`, so every call misses and
 interns its operands and result.  The unit rows time `1 * x`, `x * 1` and
-`x / 1` for the `rationals` operands `x`.
+`x / 1` for the `rationals` operands `x`.  The reader rows time
+`ctx.scalar(s)`, the parse of one problem-file coefficient, on PAIRS
+strings fixed by SEED: `parse_int_us` on integers in [-99, 99] and
+`parse_fraction_us` on "p/q" with q in [2, 9].
 The cocycle rows time, for each n in COCYCLE_ORDERS, `verify_cocycle` on
 the standard Z_n cocycle over Q(zeta_n), `cocycle_from_table` on the same
 table written to JSON and read back, and `verify_cocycle` on the loaded
-table; each figure is the median over COCYCLE_REPEATS runs, in seconds.
+table; each figure is the minimum over COCYCLE_REPEATS runs, in seconds.
 The many-valued rows, for each n in TWISTED_ORDERS, do the same for
 `verify_cocycle` on the standard Z_n cocycle times the coboundary of a
 normalized 2-cochain with rational values fixed by SEED, a table with
@@ -50,7 +55,6 @@ import argparse
 import json
 import platform
 import random
-import statistics
 import subprocess
 import time
 import tracemalloc
@@ -70,9 +74,9 @@ ORDERS = (3, 4, 5, 7, 8, 9, 11, 12)
 PAIRS = 64
 SEED = 1
 LOOPS = 20
-REPEATS = 5
+REPEATS = 20
 COCYCLE_ORDERS = (7, 11, 13, 16, 20)
-COCYCLE_REPEATS = 3
+COCYCLE_REPEATS = 20
 TWISTED_ORDERS = (11, 16, 20)
 
 
@@ -96,7 +100,7 @@ def operands(m: int, kind: str, rng: random.Random) -> list:
 
 
 def time_us(fn, pairs: list, loops: int, repeats: int) -> float:
-    """Median over `repeats` of the mean microseconds per call of fn(a, b)."""
+    """Minimum over `repeats` of the mean microseconds per call of fn(a, b)."""
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -104,11 +108,11 @@ def time_us(fn, pairs: list, loops: int, repeats: int) -> float:
             for a, b in pairs:
                 fn(a, b)
         samples.append((time.perf_counter() - start) / (loops * len(pairs)) * 1e6)
-    return statistics.median(samples)
+    return min(samples)
 
 
 def time_miss_us(m: int, pairs: list, method: str) -> float:
-    """Median over REPEATS of the mean microseconds of one `a.times(b)` (or
+    """Minimum over REPEATS of the mean microseconds of one `a.times(b)` (or
     `a.plus(b)`, by `method`) that misses its memo: LOOPS passes over the
     distinct pairs, each pass on copies in a fresh FieldContext(m) made
     before its timer starts."""
@@ -125,17 +129,17 @@ def time_miss_us(m: int, pairs: list, method: str) -> float:
                 op(a, b)
             elapsed += time.perf_counter() - start
         samples.append(elapsed / (LOOPS * len(fresh)) * 1e6)
-    return statistics.median(samples)
+    return min(samples)
 
 
 def time_s(fn) -> float:
-    """Median over COCYCLE_REPEATS of the seconds of one call fn()."""
+    """Minimum over COCYCLE_REPEATS of the seconds of one call fn()."""
     samples = []
     for _ in range(COCYCLE_REPEATS):
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+    return min(samples)
 
 
 def peak_kb(fn) -> float:
@@ -243,6 +247,10 @@ def run() -> dict:
         row["mul_unit_left_us"] = time_us(lambda u, x: u * x, units, LOOPS, REPEATS)
         row["mul_unit_right_us"] = time_us(lambda u, x: x * u, units, LOOPS, REPEATS)
         row["div_unit_us"] = time_us(lambda u, x: x / u, units, LOOPS, REPEATS)
+        for kind, text in (("int", lambda: str(rng.randint(-99, 99))),
+                           ("fraction", lambda: f"{rng.randint(-99, 99)}/{rng.randint(2, 9)}")):
+            strings = [(ctx, text()) for _ in range(PAIRS)]
+            row[f"parse_{kind}_us"] = time_us(lambda c, v: c.scalar(v), strings, LOOPS, REPEATS)
         per_m[str(m)] = row
     return {
         "python": platform.python_version(),

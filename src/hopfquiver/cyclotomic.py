@@ -29,10 +29,10 @@ one context are identity tests.  Keys are unique in the process, so a memo
 of one context never matches a scalar of another, and a reader of the memos
 (`pathcoalg._add_scaled`) may look any two scalars up by key.  The table
 holds at most PRODUCT_MEMO_SIZE values and is never cleared: past that, new
-values stay unkeyed and are computed directly.  The memos are cleared at
-that size.  `*` and `+` stay direct: the 3-cocycle check on a table with
-nearly one value per entry, inverses and powers rarely repeat an operand
-pair and would fill the table.
+values stay unkeyed and are computed directly.  A memo is cleared when it
+holds PAIR_MEMO_SIZE operand pairs.  `*` and `+` stay direct: the 3-cocycle
+check on a table with nearly one value per entry, inverses and powers
+rarely repeat an operand pair and would fill the table.
 """
 
 from __future__ import annotations
@@ -48,8 +48,12 @@ from .errors import FieldDivisionError
 
 RationalLike = Union[int, str, Fraction]
 
-# the most values a context interns, and products (sums) it memoizes before it starts over
+# the most values a context interns
 PRODUCT_MEMO_SIZE = 4096
+
+# the most operand pairs a product (sum) memo holds before it starts over: a
+# few hundred values make tens of thousands of pairs at the deep caps
+PAIR_MEMO_SIZE = 65536
 
 # the most digits a coefficient string may hold, and the largest exponent it may
 # carry: `Fraction("1e20000000")` would expand 10^20000000 in full
@@ -97,7 +101,10 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 def _parse_rational(v: RationalLike) -> tuple[int, int]:
     """(p, q) with q > 0 and gcd(p, q) == 1; a string is refused past
-    MAX_COEFF_DIGITS digits or exponent."""
+    MAX_COEFF_DIGITS digits or exponent.  A string is read by `int` and,
+    when `int` refuses it, by `Fraction`: the two agree on every integer
+    string, signs, surrounding whitespace, underscores and Unicode digits
+    included, and `int` is several times faster."""
     if isinstance(v, bool):
         raise ValueError(f"{v!r} is not a rational number")
     if isinstance(v, int):
@@ -105,6 +112,10 @@ def _parse_rational(v: RationalLike) -> tuple[int, int]:
     if isinstance(v, str):
         if len(v) > _SHORT:
             _check_size(v)
+        try:
+            return int(v), 1
+        except ValueError:
+            pass
         try:
             v = Fraction(v)
         except ZeroDivisionError:
@@ -216,7 +227,7 @@ class FieldContext:
             return self.intern(op(a, b))
         out = memo.get((a.key, b.key))
         if out is None:
-            if len(memo) >= PRODUCT_MEMO_SIZE:
+            if len(memo) >= PAIR_MEMO_SIZE:
                 memo.clear()
             out = memo[a.key, b.key] = self.intern(op(a, b))
         return out

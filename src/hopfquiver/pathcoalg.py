@@ -149,7 +149,7 @@ def _add_scaled(acc: dict[Path, Scalar], terms: Mapping[Path, Scalar], c: Scalar
 
 def _accumulate(acc: dict, key, c: Scalar) -> None:
     """acc[key] += c for a nonzero c, deleting the entry when it cancels; the
-    one-term step of the coalgebra-map check and the glue."""
+    one-term step of the coalgebra-map check's right side and the glue."""
     if key in acc:
         c = acc[key].plus(c)
         if c.is_zero():
@@ -192,11 +192,9 @@ def comultiplicative(
     is Delta of a path as its (later, earlier) pairs, `path_splits` for the
     quiver or a memo of it such as `MajidStructure.splits`.  Both sides are
     `{(Path, Path): Scalar}` dicts that hold no zero coefficient, compared
-    directly."""
-    lhs: dict[tuple[Path, Path], Scalar] = {}
-    for p, c in x.terms.items():
-        for pair in splits(p):
-            _accumulate(lhs, pair, c)
+    directly.  Delta(x) sums nothing: a split concatenates back to its path,
+    so the splits of distinct paths are distinct pairs."""
+    lhs = {pair: c for p, c in x.terms.items() for pair in splits(p)}
     rhs: dict[tuple[Path, Path], Scalar] = {}
     for y, z in pairs:
         for yp, yc in y.terms.items():

@@ -21,7 +21,8 @@ Schema (version 1); an object with a key not shown here is refused:
 left out.  Integers are never JSON true or false.  Scalars are "p/q"
 strings, integers, or power-basis coordinate arrays of those; a string
 holds at most `cyclotomic.MAX_COEFF_DIGITS` digits and an exponent of at
-most that size.  A term is one
+most that size.  Every scalar of a file, table entry or coefficient, is
+parsed once: equal raw values share one parse (`_scalar`).  A term is one
 arrow and its coefficient, {"arrow": a, "coeff": c} or {"source": s(a),
 "arrows": [a], "coeff": c}; terms on one arrow are summed.  An absent action
 entry is zero, and a second one for the same (g, arrow) is refused.  The
@@ -134,11 +135,12 @@ def problem_from_dict(data: dict) -> ProblemSpec:
     except Exception as exc:
         raise SpecError(f"invalid group table: {exc}") from exc
 
-    cocycle = _cocycle(ctx, group, data.get("cocycle"))
+    parsed = {}  # the file's parse memo, see `_scalar`
+    cocycle = _cocycle(ctx, group, data.get("cocycle"), parsed)
     ram = _ramification(group, data.get("ramification", []))
     cap = _checked_cap(group, ram, data.get("degree_cap"))
     quiver = hopf_quiver(group, ram)
-    action = _action(ctx, quiver, data.get("action", {}))
+    action = _action(ctx, quiver, data.get("action", {}), parsed)
 
     tasks = data.get("tasks")
     _require(isinstance(tasks, list) and tasks and all(isinstance(t, str) for t in tasks),
@@ -180,7 +182,7 @@ def _checked_cap(group: FiniteGroup, ram: RamificationData, cap) -> int:
     return cap
 
 
-def _cocycle(ctx: FieldContext, group: FiniteGroup, data) -> Cocycle3:
+def _cocycle(ctx: FieldContext, group: FiniteGroup, data, parsed: dict) -> Cocycle3:
     _require(isinstance(data, dict) and "kind" in data, "cocycle.kind is required")
     kind = data["kind"]
     keys = _COCYCLE_KEYS.get(kind) if isinstance(kind, str) else None
@@ -189,7 +191,7 @@ def _cocycle(ctx: FieldContext, group: FiniteGroup, data) -> Cocycle3:
     if kind == "trivial":
         return trivial_cocycle(group, ctx)
     if kind == "table":
-        return cocycle_from_table(group, ctx, data.get("values"))
+        return cocycle_from_table(group, ctx, data.get("values"), parsed)
     n = data.get("n")
     power = data.get("zeta_power", 1)
     _require(type(n) is int and n >= 1, "cyclic_standard.n must be a positive integer")
@@ -202,12 +204,24 @@ def _cocycle(ctx: FieldContext, group: FiniteGroup, data) -> Cocycle3:
     return standard_cyclic_cocycle(n, zeta)
 
 
-def _entry_key(raw):
-    """The parse-memo key of a table entry: the type and value of it or of
-    each coordinate, since 1 == True and hash(1) == hash(True)."""
-    if isinstance(raw, (list, tuple)):
-        return type(raw), tuple((type(x), x) for x in raw)
-    return type(raw), raw
+def _scalar(ctx: FieldContext, parsed: dict, raw):
+    """The scalar `raw` read through the file's parse memo `parsed`, keyed by
+    `raw`, or `tuple(raw)` for a coordinate list, when it and each coordinate
+    is exactly a str or an int: true and 1.0 equal 1 and hash alike, so they
+    are parsed, and refused, each time."""
+    kind = type(raw)
+    if kind is list:
+        key = tuple(raw)
+        if not all(type(x) is str or type(x) is int for x in key):
+            return ctx.scalar(raw)
+    elif kind is str or kind is int:
+        key = raw
+    else:
+        return ctx.scalar(raw)
+    v = parsed.get(key)
+    if v is None:
+        v = parsed[key] = ctx.scalar(raw)
+    return v
 
 
 def _checked_rows(table, index: tuple, n: int, what: str):
@@ -217,12 +231,16 @@ def _checked_rows(table, index: tuple, n: int, what: str):
     return table
 
 
-def cocycle_from_table(group: FiniteGroup, ctx: FieldContext, values) -> Cocycle3:
+def cocycle_from_table(group: FiniteGroup, ctx: FieldContext, values,
+                       parsed: dict | None = None) -> Cocycle3:
     """Read a dense n x n x n table, `cocycle.values` of a problem file; a
     misshapen plane or row, a non-scalar or a zero raises SpecError at its
-    index.  Equal entries (by `_entry_key`) are parsed once."""
+    index.  Every entry is parsed once, through the parse memo `parsed`
+    (`_scalar`; a fresh one when None) that the file's action coefficients
+    share; the entries are not interned."""
     n = group.order
-    parsed = {}
+    if parsed is None:
+        parsed = {}
     out = []
     for a, plane in enumerate(_checked_rows(values, (), n, "planes")):
         out_plane = []
@@ -230,10 +248,7 @@ def cocycle_from_table(group: FiniteGroup, ctx: FieldContext, values) -> Cocycle
             out_row = []
             for c, raw in enumerate(_checked_rows(row, (a, b), n, "values")):
                 try:
-                    key = _entry_key(raw)
-                    v = parsed.get(key)
-                    if v is None:
-                        v = parsed[key] = ctx.scalar(raw)
+                    v = _scalar(ctx, parsed, raw)
                 except (TypeError, ValueError, ArithmeticError) as exc:
                     raise SpecError(f"malformed cocycle table: cocycle.values[{a}][{b}][{c}]"
                                     f" is not a scalar: {exc}") from exc
@@ -245,7 +260,7 @@ def cocycle_from_table(group: FiniteGroup, ctx: FieldContext, values) -> Cocycle
     return Cocycle3(group, ctx, tuple(out))
 
 
-def _action(ctx: FieldContext, quiver: HopfQuiver, data) -> BimoduleAction:
+def _action(ctx: FieldContext, quiver: HopfQuiver, data, parsed: dict) -> BimoduleAction:
     """The action tables; a place is formatted only for an error message."""
     _require(isinstance(data, dict), "action must be an object")
     _refuse_unknown(data, ("left", "right"), "action")
@@ -273,14 +288,18 @@ def _action(ctx: FieldContext, quiver: HopfQuiver, data) -> BimoduleAction:
                 first = next(j for j in range(i) if (items[j]["g"], items[j]["arrow"]) == (g, a))
                 raise SpecError(f"action.{side}[{i}] repeats g={g} arrow={a}"
                                 f" of action.{side}[{first}]")
-            table[key] = _element(ctx, quiver, raw, lambda: f"action.{side}[{i}].value")
+            table[key] = _element(ctx, quiver, raw, lambda: f"action.{side}[{i}].value", parsed)
     return BimoduleAction(ctx, quiver, tables["left"], tables["right"])
 
 
-def _element(ctx: FieldContext, quiver: HopfQuiver, raw, where) -> Element:
-    """An action value, the term list at `where()`; terms on one arrow are
-    summed into a keyed scalar."""
+def _element(ctx: FieldContext, quiver: HopfQuiver, raw, where,
+             parsed: dict | None = None) -> Element:
+    """An action value, the term list at `where()`, its coefficients read
+    through the parse memo `parsed` (a fresh one when None) and interned;
+    terms on one arrow are summed into a keyed scalar."""
     _require(isinstance(raw, list), f"{where()} is not a list of terms")
+    if parsed is None:
+        parsed = {}
     terms = {}
     for j, t in enumerate(raw):
         if not isinstance(t, dict) or "coeff" not in t:
@@ -297,11 +316,16 @@ def _element(ctx: FieldContext, quiver: HopfQuiver, raw, where) -> Element:
                 if len(t) != 3 or "source" not in t or type(arrows) is not list:
                     _refuse_unknown(t, ("source", "arrows", "coeff"), f"{where()}[{j}]")
                     raise SpecError(f"{where()}[{j}] needs a source and a list of arrows")
-                p = quiver.path(t["source"], arrows)
-                if len(arrows) != 1:
+                source = t["source"]
+                a = arrows[0] if len(arrows) == 1 else None
+                if not (quiver.has_arrow(a) and type(source) is int
+                        and quiver.arrows[a].source == source):
+                    # the walk names the first bad vertex or arrow
+                    quiver.path(source, arrows)
                     raise SpecError(f"{where()}[{j}] is not one arrow: an action value"
                                     " lies in the arrow space")
-            c = ctx.intern(ctx.scalar(t["coeff"]))
+                p = quiver.arrow_path(a)
+            c = ctx.intern(_scalar(ctx, parsed, t["coeff"]))
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise SpecError(f"{where()}[{j}]: {exc}") from exc
         terms[p] = terms[p].plus(c) if p in terms else c

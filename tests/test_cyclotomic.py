@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfquiver import FieldContext, cyclotomic_polynomial, field_context
-from hopfquiver.cyclotomic import MAX_COEFF_DIGITS, PRODUCT_MEMO_SIZE
+from hopfquiver import cyclotomic
+from hopfquiver.cyclotomic import MAX_COEFF_DIGITS, PAIR_MEMO_SIZE, PRODUCT_MEMO_SIZE
 from hopfquiver.errors import FieldDivisionError
 
 from oracles import FractionScalar
@@ -248,30 +249,48 @@ def test_scalar_matches_fraction_oracle(case):
 
 
 def test_times_memo_stays_bounded():
-    """96^2 products, more than the product memo holds, of 96 values whose
-    products are more than the intern table holds (commuting factors give
-    96 * 97 / 2 = 4656 of them; 72 values would give at most 2628).  Every
-    product equals `*`, on the first pass and on a second.  The product memo
-    never grows past its bound and reaches it, so it is cleared.  The intern
-    table fills to its bound and no further, and the products of new values
-    after that are unkeyed."""
+    """16 * 17 = 272 values, whose 73,984 ordered pairs are more than the
+    product memo holds (PAIR_MEMO_SIZE pairs) and whose products are more
+    than the intern table holds (PRODUCT_MEMO_SIZE values; commuting
+    factors give 272 * 273 / 2 of them).  Every product equals `*`, before
+    and after the memo is cleared.  The product memo never grows past its
+    bound and reaches it, so it is cleared.  The intern table fills to its
+    bound and no further, and the products of new values after that are
+    unkeyed."""
     ctx = FieldContext(5)
-    values = [ctx.scalar([i, j, 1, 0]) for i in range(1, 9) for j in range(1, 13)]
-    assert len(values) ** 2 > PRODUCT_MEMO_SIZE
+    values = [ctx.scalar([i, j, 1, 0]) for i in range(1, 17) for j in range(1, 18)]
+    assert len(values) ** 2 > PAIR_MEMO_SIZE > PRODUCT_MEMO_SIZE
     largest = 0
     unkeyed = 0
+    for a in values:
+        for b in values:
+            out = a.times(b)
+            assert out == a * b
+            unkeyed += out.key is None
+            largest = max(largest, len(ctx._products))
+    assert largest == PAIR_MEMO_SIZE
+    assert len(ctx._products) == len(values) ** 2 - PAIR_MEMO_SIZE
+    assert len(ctx._interned) == PRODUCT_MEMO_SIZE
+    assert unkeyed > 0
+
+
+def test_pair_memos_clear_at_their_own_bound(monkeypatch):
+    """With the pair bound set below the intern bound, both pair memos are
+    cleared at the pair bound while the intern table grows past it: the
+    two bounds are separate.  Every product and sum equals `*` and `+`."""
+    monkeypatch.setattr(cyclotomic, "PAIR_MEMO_SIZE", 100)
+    ctx = FieldContext(5)
+    values = [ctx.scalar([i, j, 1, 0]) for i in range(1, 5) for j in range(1, 5)]
+    largest = {"products": 0, "sums": 0}
     for _ in range(2):
         for a in values:
             for b in values:
-                out = a.times(b)
-                assert out == a * b
-                unkeyed += out.key is None
-                largest = max(largest, len(ctx._products))
-                assert largest <= PRODUCT_MEMO_SIZE
-                assert len(ctx._interned) <= PRODUCT_MEMO_SIZE
-    assert largest == PRODUCT_MEMO_SIZE
-    assert len(ctx._interned) == PRODUCT_MEMO_SIZE
-    assert unkeyed > 0
+                assert a.times(b) == a * b
+                assert a.plus(b) == a + b
+                largest["products"] = max(largest["products"], len(ctx._products))
+                largest["sums"] = max(largest["sums"], len(ctx._sums))
+    assert largest == {"products": 100, "sums": 100}
+    assert len(ctx._interned) > 100
 
 
 def test_times_mixed_contexts():

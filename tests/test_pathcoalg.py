@@ -227,6 +227,33 @@ def test_element_json_roundtrip():
 
 
 @pytest.mark.parametrize("spec", ["z4_two_blocks_standard_cocycle", "one_vertex_2_loop"])
+def test_comultiplicative_on_a_sum_of_paths(spec):
+    """x is every basis path up to degree 3, each with its own coefficient.
+    Delta(x) is the sum over the terms of the splits from `path_splits`,
+    so `comultiplicative` holds on those pairs, also with one pair's
+    coefficient spread over two pairs; it fails without one pair, and
+    when one coefficient of x changes."""
+    problem = load_problem(SPECS_DIR / f"{spec}.json")
+    ctx, quiver = problem.ctx, problem.quiver
+    paths = [p for degree in paths_up_to(quiver, 3) for p in degree]
+    coeffs = {p: ctx.scalar(i + 2) + ctx.zeta for i, p in enumerate(paths)}
+    x = Element(ctx, coeffs)
+    assert len(x.terms) == len(paths) > 1
+    delta = partial(path_splits, quiver)
+    pairs = [(Element.of_path(ctx, p1, c), Element.of_path(ctx, p2))
+             for p, c in coeffs.items() for p1, p2 in path_splits(quiver, p)]
+    assert comultiplicative(delta, x, pairs)
+    (y, z), c = pairs[-1], coeffs[paths[-1]]
+    spread = pairs[:-1] + [(Element.of_path(ctx, next(iter(y.terms)), c - 1), z),
+                           (Element.of_path(ctx, next(iter(y.terms))), z)]
+    assert comultiplicative(delta, x, spread)
+    assert not comultiplicative(delta, x, pairs[1:])
+    changed = dict(coeffs)
+    changed[paths[-1]] = c + 1
+    assert not comultiplicative(delta, Element(ctx, changed), pairs)
+
+
+@pytest.mark.parametrize("spec", ["z4_two_blocks_standard_cocycle", "one_vertex_2_loop"])
 def test_tensor_of_pairs_is_comultiplication(spec):
     """Summing x (x) y over the splits (p1, p2) of p rebuilds Delta(p), with
     the coefficient carried on the first leg, so `comultiplicative` holds on
